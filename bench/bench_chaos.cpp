@@ -57,6 +57,7 @@
 #include "service/chaos.h"
 #include "service/client.h"
 #include "service/service.h"
+#include "service/supervisor.h"
 #include "sim/faults.h"
 #include "util/check.h"
 #include "util/format.h"
@@ -169,21 +170,6 @@ std::vector<std::string> compute_oracle() {
     dumps.push_back(resp.at("result").dump());
   }
   return dumps;
-}
-
-std::string find_shlcpd() {
-  if (const char* env = std::getenv("SHLCP_SHLCPD")) {
-    return env;
-  }
-  // Common working directories: the build tree root (CI), the repo
-  // root, and bench/ inside the build tree.
-  for (const char* candidate :
-       {"examples/shlcpd", "build/examples/shlcpd", "../examples/shlcpd"}) {
-    if (::access(candidate, X_OK) == 0) {
-      return candidate;
-    }
-  }
-  return "";
 }
 
 struct Daemon {
@@ -538,7 +524,7 @@ void add_pass_meta(Json& meta, const char* prefix, const PassResult& pass) {
 }  // namespace
 
 int main() {
-  const std::string shlcpd = find_shlcpd();
+  const std::string shlcpd = svc::Supervisor::find_shlcpd(nullptr);
   if (shlcpd.empty()) {
     std::fprintf(stderr,
                  "bench_chaos: cannot find shlcpd (set SHLCP_SHLCPD or run "

@@ -50,6 +50,7 @@
 #include "service/cache.h"
 #include "service/router.h"
 #include "service/service.h"
+#include "service/supervisor.h"
 #include "sim/faults.h"
 #include "util/check.h"
 #include "util/format.h"
@@ -152,19 +153,6 @@ std::size_t distinct_keys() {
     keys.insert(svc::artifact_key(op, params));
   }
   return keys.size();
-}
-
-std::string find_shlcpd() {
-  if (const char* env = std::getenv("SHLCP_SHLCPD")) {
-    return env;
-  }
-  for (const char* candidate :
-       {"examples/shlcpd", "build/examples/shlcpd", "../examples/shlcpd"}) {
-    if (::access(candidate, X_OK) == 0) {
-      return candidate;
-    }
-  }
-  return "";
 }
 
 struct Backend {
@@ -355,7 +343,7 @@ CaseResult run_case(const std::string& shlcpd, int n,
 }  // namespace
 
 int main() {
-  const std::string shlcpd = find_shlcpd();
+  const std::string shlcpd = svc::Supervisor::find_shlcpd(nullptr);
   if (shlcpd.empty()) {
     std::fprintf(stderr,
                  "bench_fleet: cannot find shlcpd (set SHLCP_SHLCPD or run "

@@ -23,7 +23,6 @@
 // floor, or the drain contract fails.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -41,6 +40,7 @@
 #include "service/service.h"
 #include "sim/engine.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/format.h"
 
 using namespace shlcp;
@@ -50,13 +50,6 @@ namespace {
 
 int cold_requests() { return bench::smoke() ? 40 : 200; }
 int warm_requests() { return bench::smoke() ? 60 : 240; }
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 Json request(std::uint64_t id, const std::string& op, Json params) {
   Json req = Json::object();
@@ -319,38 +312,38 @@ std::pair<std::string, Json> warm_payload(int slot) {
 
 PassStats run_cold_pass(Service& service) {
   PassStats stats;
-  const std::uint64_t t0 = now_ns();
+  const std::uint64_t t0 = mono_ns();
   for (int i = 0; i < cold_requests(); ++i) {
-    const std::uint64_t s = now_ns();
+    const std::uint64_t s = mono_ns();
     const Json resp = service.handle(
         request(static_cast<std::uint64_t>(i), "check_coloring",
                 cold_payload(i)));
-    stats.latencies_ns["check_coloring"].push_back(now_ns() - s);
+    stats.latencies_ns["check_coloring"].push_back(mono_ns() - s);
     if (!resp.at("ok").as_bool()) {
       ++stats.errors;
     }
     ++stats.requests;
   }
-  stats.elapsed_s = static_cast<double>(now_ns() - t0) / 1e9;
+  stats.elapsed_s = static_cast<double>(mono_ns() - t0) / 1e9;
   return stats;
 }
 
 PassStats run_warm_pass(Service& service) {
   PassStats stats;
   const int pool = warm_requests() / 4;  // expected hit-rate ~0.75
-  const std::uint64_t t0 = now_ns();
+  const std::uint64_t t0 = mono_ns();
   for (int i = 0; i < warm_requests(); ++i) {
     auto [op, params] = warm_payload(i % pool);
-    const std::uint64_t s = now_ns();
+    const std::uint64_t s = mono_ns();
     const Json resp = service.handle(
         request(static_cast<std::uint64_t>(1000 + i), op, std::move(params)));
-    stats.latencies_ns[op].push_back(now_ns() - s);
+    stats.latencies_ns[op].push_back(mono_ns() - s);
     if (!resp.at("ok").as_bool()) {
       ++stats.errors;
     }
     ++stats.requests;
   }
-  stats.elapsed_s = static_cast<double>(now_ns() - t0) / 1e9;
+  stats.elapsed_s = static_cast<double>(mono_ns() - t0) / 1e9;
   return stats;
 }
 

@@ -37,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace shlcp::ia {
@@ -54,9 +55,9 @@ inline constexpr std::uint64_t kDomChallenge = 0x1a5e55101c4a11e0ULL;
 inline constexpr std::uint64_t kDomPermutation = 0x1a5e5510be23417eULL;
 inline constexpr std::uint64_t kDomNonce = 0x1a5e5510a02ce5edULL;
 
-/// 64-bit FNV-1a over `bytes` (offset 0xcbf29ce484222325, prime
-/// 0x100000001b3) -- the same digest family as nbhd/checkpoint.
-std::uint64_t fnv1a64(std::string_view bytes);
+/// util/hash.h's FNV-1a, here from the standard offset basis -- not the
+/// truncated basis of nbhd/checkpoint's fnv1a_hex digests.
+using shlcp::fnv1a64;
 
 /// The binding commitment of one node's permuted color in one round:
 /// mix64(fnv1a64("ia1|<session>|<round>|<node>|<color>|<nonce>")).

@@ -1,28 +1,17 @@
 #include "interactive/table.h"
 
-#include <chrono>
 #include <utility>
 #include <vector>
 
 #include "util/check.h"
+#include "util/clock.h"
 
 namespace shlcp::ia {
-
-namespace {
-
-std::uint64_t steady_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 SessionTable::SessionTable(SessionLimits limits,
                            std::function<std::uint64_t()> now_ms)
     : limits_(limits),
-      now_ms_(now_ms ? std::move(now_ms) : steady_now_ms) {}
+      now_ms_(now_ms ? std::move(now_ms) : mono_ms) {}
 
 void SessionTable::retire_locked(
     std::unordered_map<std::string, Entry>::iterator it) {

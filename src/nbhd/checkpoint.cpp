@@ -7,18 +7,15 @@
 
 #include "util/check.h"
 #include "util/format.h"
+#include "util/hash.h"
 
 namespace shlcp {
 
 namespace fs = std::filesystem;
 
 std::string fnv1a_hex(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return format("fnv:%016llx", static_cast<unsigned long long>(h));
+  return format("fnv:%016llx", static_cast<unsigned long long>(
+                                   fnv1a64(bytes, kFnvTruncatedBasis)));
 }
 
 std::string checkpoint_git_rev() {

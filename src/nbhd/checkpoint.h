@@ -44,9 +44,10 @@ namespace shlcp {
 
 inline constexpr const char* kCheckpointSchema = "shlcp.ckpt.v1";
 
-/// 64-bit FNV-1a over `bytes`, rendered as "fnv:<16 hex digits>". Used
-/// for the state digest, the frame-list digest, and the options hash;
-/// tools/check_bench_json.py re-implements it for CI-side validation.
+/// 64-bit FNV-1a over `bytes` from the truncated basis (util/hash.h),
+/// rendered as "fnv:<16 hex digits>". Used for the state digest, the
+/// frame-list digest, and the options hash; tools/check_bench_json.py
+/// re-implements it for CI-side validation.
 std::string fnv1a_hex(std::string_view bytes);
 
 /// `git describe --always --dirty` of the working tree, or "unknown"

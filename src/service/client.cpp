@@ -19,19 +19,13 @@
 #include "service/cache.h"
 #include "service/service.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/format.h"
 #include "util/rng.h"
 
 namespace shlcp::svc {
 
 namespace {
-
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 bool code_is_retriable(const std::string& code) {
   // invalid_request is retriable here even though it names a client
@@ -183,7 +177,7 @@ Client::Attempt Client::attempt_once(const std::string& body,
     out->fail_kind = CallResult::FailKind::kTransport;
     return Attempt::kRetriableReconnect;
   }
-  const std::uint64_t deadline = now_ms() + options_.timeout_ms;
+  const std::uint64_t deadline = mono_ms() + options_.timeout_ms;
   std::string frame;
   std::string error;
   for (;;) {
@@ -287,7 +281,7 @@ Client::Attempt Client::attempt_once(const std::string& body,
       return Attempt::kRetriable;
     }
 
-    const std::uint64_t now = now_ms();
+    const std::uint64_t now = mono_ms();
     if (now >= deadline) {
       stats_.timeouts += 1;
       drop_connection();  // a late response must not alias a new attempt

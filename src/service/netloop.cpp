@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <optional>
@@ -17,6 +16,7 @@
 #include <unistd.h>
 
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/format.h"
 #include "util/metrics.h"
 
@@ -50,13 +50,6 @@ void set_cloexec(int fd) {
   if (flags >= 0) {
     ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
   }
-}
-
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace
@@ -140,7 +133,7 @@ std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
     health->queue_depth.store(queue.size(), std::memory_order_relaxed);
   }
 
-  const std::uint64_t dispatch_ms = now_ms();
+  const std::uint64_t dispatch_ms = mono_ms();
   std::vector<std::string> responses(count);
   const auto run_one = [&](std::size_t i) {
     if (batch[i].raw) {
@@ -476,12 +469,12 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
           if (in.raw) {
             // Canned protocol reply: ride the queue so it is written in
             // request order relative to dispatched responses.
-            queue.push_back(PendingRequest{std::move(in.body), now_ms(),
+            queue.push_back(PendingRequest{std::move(in.body), mono_ms(),
                                            conn_index, in.tag, true});
             ++c.queued_raw;
             continue;
           }
-          PendingRequest pending{std::move(in.body), now_ms(), conn_index,
+          PendingRequest pending{std::move(in.body), mono_ms(), conn_index,
                                  in.tag, false};
           std::string refusal =
               admit_request(queue, std::move(pending), &c.inflight,
@@ -490,7 +483,7 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
             bool close_after = false;
             std::string wire =
                 c.proto->encode_shed(in, refusal, &close_after);
-            queue.push_back(PendingRequest{std::move(wire), now_ms(),
+            queue.push_back(PendingRequest{std::move(wire), mono_ms(),
                                            conn_index, in.tag, true});
             ++c.queued_raw;
             if (close_after) {
@@ -515,8 +508,8 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
   // Drain contract: in-flight requests were answered above, but their
   // frames may still sit in write buffers. Give slow readers a bounded
   // grace window before tearing the sockets down.
-  const std::uint64_t flush_deadline = now_ms() + kDrainFlushMs;
-  while (now_ms() < flush_deadline) {
+  const std::uint64_t flush_deadline = mono_ms() + kDrainFlushMs;
+  while (mono_ms() < flush_deadline) {
     std::vector<pollfd> pfds;
     std::vector<std::size_t> conn_of_pfd;
     for (std::size_t i = 0; i < conns.size(); ++i) {

@@ -1,54 +1,48 @@
 #include "service/router.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
+#include <optional>
 #include <utility>
 
-#include "nbhd/checkpoint.h"
 #include "service/cache.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/format.h"
+#include "util/hash.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace shlcp::svc {
 
 namespace {
 
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// 64-bit FNV-1a: the ring hash. Deliberately the same family as the
-/// integrity digests (nbhd/checkpoint.h) but kept raw -- ring points
-/// are compared, never printed.
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// splitmix64 finalizer on top of FNV-1a. Raw FNV of near-identical
-/// short strings ("b0#17" vs "b1#17") leaves the low bits correlated,
-/// which clusters a backend's vnodes into runs and can starve a
-/// backend of keys entirely (observed: 3 one-letter backends, 64
-/// vnodes each, one backend owning 0/600 keys). The finalizer
-/// decorrelates placement; balance then scales with vnodes as
-/// intended.
+/// The ring hash: util/hash.h's FNV-1a from the truncated basis (the
+/// basis fnv1a_hex digests use; ring points are compared, never
+/// printed), finished with mix64. Raw FNV of near-identical short
+/// strings ("b0#17" vs "b1#17") leaves the low bits correlated, which
+/// clusters a backend's vnodes into runs and can starve a backend of
+/// keys entirely (observed: 3 one-letter backends, 64 vnodes each, one
+/// backend owning 0/600 keys). The finalizer decorrelates placement;
+/// balance then scales with vnodes as intended.
 std::uint64_t ring_point(std::string_view bytes) {
-  std::uint64_t x = fnv1a64(bytes);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
+  return mix64(fnv1a64(bytes, kFnvTruncatedBasis));
+}
+
+/// The ring key of a kSession op: its session id alone. The
+/// "session\n" prefix keeps the namespace disjoint from artifact_key's
+/// "<schema>\n<op>\n..." shape. nullopt for any other op, and for a
+/// session op with a missing or non-string id: that falls through to
+/// the artifact key, and the backend rejects it with invalid_params
+/// either way.
+std::optional<std::string> session_key(const OpSpec* op,
+                                       const Json& params) {
+  if (op == nullptr || op->route != OpRoute::kSession ||
+      !params.is_object() || !params.contains("session") ||
+      !params.at("session").is_string()) {
+    return std::nullopt;
+  }
+  return format("session\n%s", params.at("session").as_string().c_str());
 }
 
 /// Cap kept small: each cached Client holds one live connection to the
@@ -166,7 +160,8 @@ struct Router::Backend {
 };
 
 Router::Router(RouterOptions options)
-    : options_(std::move(options)),
+    : Dispatcher("router"),
+      options_(std::move(options)),
       ring_(
           [&] {
             std::vector<std::string> names;
@@ -187,73 +182,24 @@ Router::Router(RouterOptions options)
 
 Router::~Router() = default;
 
-std::string Router::handle_text(const std::string& body,
-                                std::uint64_t elapsed_ms) {
-  Json request;
-  try {
-    request = Json::parse(body);
-  } catch (const CheckError& e) {
-    metrics::counter("router.errors").inc();
-    return error_response(Json(), kErrInvalidRequest, e.what()).dump();
+Json Router::serve(Admitted& request) {
+  switch (request.op.route) {
+    case OpRoute::kFanOutInfo:
+      return aggregate_info(request.req);
+    case OpRoute::kFanOutHealth:
+      return aggregate_health(request.req);
+    case OpRoute::kArtifact:
+    case OpRoute::kSession:
+      break;
   }
-  return handle(request, elapsed_ms).dump();
-}
-
-Json Router::handle(const Json& request, std::uint64_t elapsed_ms) {
-  metrics::counter("router.requests").inc();
-  const Json id = request.is_object() && request.contains("id")
-                      ? request.at("id")
-                      : Json();
-  if (draining()) {
-    metrics::counter("router.errors").inc();
-    return error_response(id, kErrDraining,
-                          "router is draining; resubmit elsewhere");
-  }
-  Request req;
-  try {
-    req = parse_request(request);
-  } catch (const CheckError& e) {
-    metrics::counter("router.errors").inc();
-    return error_response(id, kErrInvalidRequest, e.what());
-  }
-  if (req.deadline_ms > 0 && elapsed_ms > req.deadline_ms) {
-    metrics::counter("router.errors").inc();
-    return error_response(
-        id, kErrDeadline,
-        format("request waited %llu ms past its %llu ms deadline",
-               static_cast<unsigned long long>(elapsed_ms),
-               static_cast<unsigned long long>(req.deadline_ms)));
-  }
-  // Refuse a corrupted request here rather than shipping it across the
-  // fleet -- same contract as Service::handle.
-  if (!req.check.empty()) {
-    const std::string key = artifact_key(req.op, req.params);
-    if (req.check != fnv1a_hex(key)) {
-      metrics::counter("router.errors").inc();
-      return error_response(
-          req.id, kErrIntegrity,
-          format("request digest %s does not match the received payload "
-                 "(%s); the frame was corrupted in transit -- retry",
-                 req.check.c_str(), fnv1a_hex(key).c_str()));
-    }
-  }
-  // Remaining deadline budget travels to the backend.
-  if (req.deadline_ms > 0) {
-    req.deadline_ms -= elapsed_ms;
-  }
-
-  if (req.op == "info") {
-    return aggregate_info(req);
-  }
-  if (req.op == "health") {
-    return aggregate_health(req);
-  }
-  return route(req);
+  std::optional<std::string> key =
+      session_key(&request.op, request.req.params);
+  return route(request.req, key ? *key : request.key());
 }
 
 void Router::mark_down(Backend& b, const CallResult& r) {
   b.alive.store(false, std::memory_order_relaxed);
-  b.down_since_ms.store(now_ms(), std::memory_order_relaxed);
+  b.down_since_ms.store(mono_ms(), std::memory_order_relaxed);
   // Connection-refused = nothing listening (the process is gone);
   // timeout = listening but not answering (slow or wedged). Both
   // reroute, but the supervisor's wedge detection and fleet health
@@ -294,9 +240,23 @@ bool Router::set_backend_alive(const std::string& name, bool alive) {
   }
   b->alive.store(alive, std::memory_order_relaxed);
   if (!alive) {
-    b->down_since_ms.store(now_ms(), std::memory_order_relaxed);
+    b->down_since_ms.store(mono_ms(), std::memory_order_relaxed);
   }
   return true;
+}
+
+std::optional<Json> Router::call_backend(Backend& b, const std::string& op,
+                                         const Json& params,
+                                         std::uint64_t deadline_ms) {
+  std::unique_ptr<Client> client = b.borrow(options_.client);
+  const CallResult r = client->call(op, params, deadline_ms);
+  if (!r.ok) {
+    mark_down(b, r);
+    return std::nullopt;
+  }
+  b.alive.store(true, std::memory_order_relaxed);
+  b.give_back(std::move(client));
+  return r.response.at("result");
 }
 
 bool Router::forward(Backend& b, const Request& req, CallResult* out) {
@@ -330,13 +290,12 @@ bool Router::forward(Backend& b, const Request& req, CallResult* out) {
   return false;
 }
 
-Json Router::route(const Request& req) {
-  const std::string key = routing_key(req.op, req.params);
+Json Router::route(const Request& req, const std::string& key) {
   const std::vector<int> pref = ring_.preference(HashRing::point_of(key));
   const int max_tries =
       std::max(1, std::min(options_.replica_attempts,
                            static_cast<int>(pref.size())));
-  const std::uint64_t now = now_ms();
+  const std::uint64_t now = mono_ms();
 
   // Pass 1: backends believed alive (plus any due a reprobe). Pass 2
   // (only if pass 1 found none to try): everyone, in ring order --
@@ -386,47 +345,37 @@ Json Router::route(const Request& req) {
     metrics::counter("router.reroutes").inc();
   }
 
-  metrics::counter("router.errors").inc();
   const std::string detail =
       last.error_code.empty()
           ? std::string("unreachable")
           : format("last error '%s': %s", last.error_code.c_str(),
                    last.error_detail.c_str());
-  return error_response(
-      req.id, kErrOverloaded,
-      format("no backend answered after %d replica attempt(s); %s", tried,
-             detail.c_str()),
-      "", 50);
+  return refuse(req.id, kErrOverloaded,
+                format("no backend answered after %d replica attempt(s); %s",
+                       tried, detail.c_str()),
+                "", 50);
 }
 
 Json Router::aggregate_info(const Request& req) {
-  std::vector<std::pair<int, Json>> results;  // backend index, result
-  for (std::size_t i = 0; i < backends_.size(); ++i) {
-    Backend& b = *backends_[i];
-    if (b.quarantined.load(std::memory_order_relaxed)) {
+  std::vector<Json> results;
+  for (const auto& backend : backends_) {
+    if (backend->quarantined.load(std::memory_order_relaxed)) {
       continue;  // breaker open: never block an aggregation on it
     }
-    std::unique_ptr<Client> client = b.borrow(options_.client);
-    CallResult r = client->call(req.op, req.params, req.deadline_ms);
-    if (r.ok) {
-      b.alive.store(true, std::memory_order_relaxed);
-      b.give_back(std::move(client));
-      results.emplace_back(static_cast<int>(i),
-                           r.response.at("result"));
-    } else {
-      mark_down(b, r);
+    if (std::optional<Json> r =
+            call_backend(*backend, req.op, req.params, req.deadline_ms)) {
+      results.push_back(std::move(*r));
     }
   }
   if (results.empty()) {
-    metrics::counter("router.errors").inc();
-    return error_response(req.id, kErrOverloaded,
-                          "no backend reachable for info", "", 50);
+    return refuse(req.id, kErrOverloaded, "no backend reachable for info", "",
+                  50);
   }
 
   // Fleet view: registry members from the first healthy backend (they
   // are identical across the fleet), cache counters summed, hit_rate
   // recomputed from the sums.
-  const Json& first = results.front().second;
+  const Json& first = results.front();
   Json result = Json::object();
   result["schema"] = first.at("schema");
   result["ops"] = first.at("ops");
@@ -442,7 +391,7 @@ Json Router::aggregate_info(const Request& req) {
   std::uint64_t misses = 0;
   for (const char* field : kSummed) {
     std::uint64_t total = 0;
-    for (const auto& [idx, r] : results) {
+    for (const Json& r : results) {
       total += r.at("cache").at(field).as_uint();
     }
     cache[field] = total;
@@ -465,45 +414,23 @@ Json Router::aggregate_health(const Request& req) {
   Json result = Json::object();
   result["schema"] = kWireSchema;
   result["draining"] = draining();
-  Json& queue = (result["queue"] = Json::object());
-  const HealthState* health = health_.load(std::memory_order_acquire);
-  queue["depth"] =
-      health != nullptr
-          ? health->queue_depth.load(std::memory_order_relaxed)
-          : 0;
-  queue["max"] = health != nullptr
-                     ? health->queue_max.load(std::memory_order_relaxed)
-                     : 0;
-  queue["admitted"] =
-      health != nullptr
-          ? health->admitted_total.load(std::memory_order_relaxed)
-          : 0;
-  queue["shed"] = health != nullptr
-                      ? health->shed_total.load(std::memory_order_relaxed)
-                      : 0;
+  result["queue"] = queue_health();
 
   Json& fleet = (result["backends"] = Json::array());
-  for (std::size_t i = 0; i < backends_.size(); ++i) {
-    Backend& b = *backends_[i];
+  for (const auto& backend : backends_) {
+    Backend& b = *backend;
     Json entry = Json::object();
     entry["name"] = b.spec.name;
     entry["target"] = b.spec.target;
-    if (b.quarantined.load(std::memory_order_relaxed)) {
-      // Breaker open: report without probing -- the health op must
-      // never block on a quarantined backend either.
-      entry["alive"] = false;
-    } else {
-      std::unique_ptr<Client> client = b.borrow(options_.client);
-      CallResult r = client->call(req.op, req.params, req.deadline_ms);
-      if (r.ok) {
-        b.alive.store(true, std::memory_order_relaxed);
-        b.give_back(std::move(client));
-        entry["alive"] = true;
-        entry["health"] = r.response.at("result");
-      } else {
-        mark_down(b, r);
-        entry["alive"] = false;
-      }
+    // Breaker open: report without probing -- the health op must never
+    // block on a quarantined backend either.
+    std::optional<Json> health;
+    if (!b.quarantined.load(std::memory_order_relaxed)) {
+      health = call_backend(b, req.op, req.params, req.deadline_ms);
+    }
+    entry["alive"] = health.has_value();
+    if (health) {
+      entry["health"] = std::move(*health);
     }
     entry["quarantined"] = b.quarantined.load(std::memory_order_relaxed);
     entry["forwarded"] = b.forwarded.load(std::memory_order_relaxed);
@@ -520,24 +447,13 @@ Json Router::aggregate_health(const Request& req) {
 }
 
 int Router::probe_all() {
-  Request probe;
-  probe.op = "health";
-  probe.params = Json::object();
   int alive = 0;
   for (const auto& backend : backends_) {
-    CallResult r;
-    Backend& b = *backend;
-    if (b.quarantined.load(std::memory_order_relaxed)) {
+    if (backend->quarantined.load(std::memory_order_relaxed)) {
       continue;  // the supervisor owns reprobing a quarantined backend
     }
-    std::unique_ptr<Client> client = b.borrow(options_.client);
-    r = client->call("health", Json::object());
-    if (r.ok) {
-      b.alive.store(true, std::memory_order_relaxed);
-      b.give_back(std::move(client));
+    if (call_backend(*backend, "health", Json::object())) {
       ++alive;
-    } else {
-      mark_down(b, r);
     }
   }
   return alive;
@@ -566,19 +482,8 @@ std::vector<RouterBackendStats> Router::backend_stats() const {
 }
 
 std::string Router::routing_key(const std::string& op, const Json& params) {
-  const bool is_session_op = op == "session_open" || op == "session_step" ||
-                             op == "session_close";
-  if (is_session_op && params.is_object() && params.contains("session") &&
-      params.at("session").is_string()) {
-    // The id alone: every message of one session must hash to the same
-    // ring point, and only session_open carries the full params. The
-    // "session\n" prefix keeps the namespace disjoint from
-    // artifact_key's "<schema>\n<op>\n..." shape. An op with a missing
-    // or non-string id falls through to the stateless key; the backend
-    // rejects it with invalid_params either way.
-    return format("session\n%s", params.at("session").as_string().c_str());
-  }
-  return artifact_key(op, params);
+  std::optional<std::string> key = session_key(find_op(op), params);
+  return key ? std::move(*key) : artifact_key(op, params);
 }
 
 std::vector<int> Router::preference_for(const std::string& op,

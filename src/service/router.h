@@ -49,8 +49,12 @@
 // quarantine flags, restart counts, last exit status, and pids through
 // set_backend_runtime(); fleet `health` reports them per backend.
 //
-// `info` and `health` fan out to every (non-quarantined) backend and
-// aggregate, so one curl of the router answers for the fleet.
+// The op table (service.h) gives each op its routing rule: ring key
+// by artifact key or by session id, or fan-out. `info` and `health` fan
+// out to every (non-quarantined) backend and aggregate, so one curl of
+// the router answers for the fleet. Admission is Dispatcher's, the same
+// code Service runs: an op that is not in the table is refused here
+// with "unknown_op" and never forwarded.
 
 #pragma once
 
@@ -58,6 +62,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,11 +84,11 @@ struct BackendSpec {
 };
 
 /// The consistent-hash ring: `vnodes` points per backend, placed at
-/// mix64(fnv1a64(name + "#" + i)) -- the splitmix64 finalizer keeps
-/// near-identical vnode names from clustering. Key lookup walks
-/// clockwise from
-/// point_of(key); the preference order is the sequence of *distinct*
-/// backends encountered, extended to cover every backend.
+/// mix64(fnv1a64(name + "#" + i, kFnvTruncatedBasis)) (util/hash.h) --
+/// the splitmix64 finalizer keeps near-identical vnode names from
+/// clustering. Key lookup walks clockwise from point_of(key); the
+/// preference order is the sequence of *distinct* backends encountered,
+/// extended to cover every backend.
 class HashRing {
  public:
   HashRing(const std::vector<std::string>& names, int vnodes);
@@ -148,20 +153,6 @@ class Router : public Dispatcher {
   explicit Router(RouterOptions options);
   ~Router() override;
 
-  std::string handle_text(const std::string& body,
-                          std::uint64_t elapsed_ms) override;
-  Json handle(const Json& request, std::uint64_t elapsed_ms = 0);
-
-  void begin_drain() override {
-    draining_.store(true, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool draining() const override {
-    return draining_.load(std::memory_order_relaxed);
-  }
-  void attach_health(const HealthState* health) override {
-    health_.store(health, std::memory_order_release);
-  }
-
   /// Probes every non-quarantined backend with a short `health` call;
   /// marks each up/down accordingly (a quarantined backend is skipped
   /// and counted as not alive). Returns the number alive.
@@ -188,14 +179,15 @@ class Router : public Dispatcher {
   [[nodiscard]] std::vector<int> preference_for(
       const std::string& op, const Json& params) const;
 
-  /// What the ring hashes for one request. Stateless ops key on
-  /// artifact_key(op, params) (cache locality). Session ops key on the
-  /// session id alone, so session_open/step/close of one session share
-  /// a routing key regardless of the rest of their params -- every step
-  /// lands on the backend that holds the session state, and on a
-  /// backend death the whole session fails over to the same successor
-  /// (the session is lost, but the replies are coherent: the successor
-  /// answers session_not_found rather than half the fleet guessing).
+  /// What the ring hashes for one request, by the op table's route
+  /// rule. OpRoute::kArtifact ops key on artifact_key(op, params)
+  /// (cache locality). OpRoute::kSession ops key on the session id
+  /// alone, so session_open/step/close of one session share a routing
+  /// key regardless of the rest of their params -- every step lands on
+  /// the backend that holds the session state, and on a backend death
+  /// the whole session fails over to the same successor (the session is
+  /// lost, but the replies are coherent: the successor answers
+  /// session_not_found rather than half the fleet guessing).
   [[nodiscard]] static std::string routing_key(const std::string& op,
                                                const Json& params);
 
@@ -210,15 +202,20 @@ class Router : public Dispatcher {
   /// Marks b down and bumps its refused/timeout counter per the
   /// failure kind of `r`.
   static void mark_down(Backend& b, const CallResult& r);
-  Json route(const Request& req);
+  /// One fan-out or probe call on b: marks b alive and returns the
+  /// result document on success, marks it down otherwise.
+  std::optional<Json> call_backend(Backend& b, const std::string& op,
+                                   const Json& params,
+                                   std::uint64_t deadline_ms = 0);
+  Json serve(Admitted& request) override;
+  /// Forwards `req` along the ring preference order of `key`.
+  Json route(const Request& req, const std::string& key);
   Json aggregate_info(const Request& req);
   Json aggregate_health(const Request& req);
 
   RouterOptions options_;
   HashRing ring_;
   std::vector<std::unique_ptr<Backend>> backends_;
-  std::atomic<bool> draining_{false};
-  std::atomic<const HealthState*> health_{nullptr};
 };
 
 }  // namespace shlcp::svc

@@ -17,6 +17,7 @@
 
 #include "service/http.h"
 #include "service/netloop.h"
+#include "util/clock.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 
@@ -25,13 +26,6 @@ namespace shlcp::svc {
 namespace {
 
 constexpr int kPollTimeoutMs = 100;
-
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 bool write_all(int fd, std::string_view data) {
   while (!data.empty()) {
@@ -60,7 +54,7 @@ bool extract_frames(FrameReader& reader, std::deque<PendingRequest>& queue,
     switch (reader.next(&frame, &error)) {
       case FrameReader::Next::kFrame: {
         std::string refusal = admit_request(
-            queue, PendingRequest{std::move(frame), now_ms(), -1, 0, false},
+            queue, PendingRequest{std::move(frame), mono_ms(), -1, 0, false},
             conn_inflight, admission);
         if (!refusal.empty()) {
           error_out->push_back(std::move(refusal));
@@ -343,8 +337,8 @@ int serve_transports(const TransportSpec& spec,
     // Wait (bounded) for every requested listener to come up, then
     // publish the endpoints -- the handshake scripts and bench_fleet
     // use to discover ephemeral ports.
-    const std::uint64_t deadline = now_ms() + 10'000;
-    while (now_ms() < deadline) {
+    const std::uint64_t deadline = mono_ms() + 10'000;
+    while (mono_ms() < deadline) {
       const bool unix_ready =
           spec.unix_path.empty() ||
           std::filesystem::exists(std::filesystem::path(spec.unix_path));

@@ -1,6 +1,5 @@
 #include "service/service.h"
 
-#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -105,17 +104,155 @@ Json session_counters_json(const ia::SessionCounters& c) {
   return j;
 }
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+/// service.<op>.requests and service.<op>.latency_ns of one op.
+struct OpMetrics {
+  metrics::Counter* requests;
+  metrics::Histogram* latency;
+};
+
+/// The per-op metric handles, registered once per op-table row.
+const OpMetrics& op_metrics(const OpSpec& op) {
+  static const std::vector<OpMetrics> bound = [] {
+    std::vector<OpMetrics> all;
+    for (const OpSpec& spec : op_table()) {
+      const std::string name(spec.name);
+      all.push_back(
+          {&metrics::counter(format("service.%s.requests", name.c_str())),
+           &metrics::histogram(
+               format("service.%s.latency_ns", name.c_str()))});
+    }
+    return all;
+  }();
+  return bound[static_cast<std::size_t>(&op - op_table().data())];
 }
 
 }  // namespace
 
+std::span<const OpSpec> op_table() {
+  static constexpr OpSpec kOps[] = {
+      {"run_decoder", true, OpRoute::kArtifact, &Service::op_run_decoder},
+      {"check_coloring", true, OpRoute::kArtifact,
+       &Service::op_check_coloring},
+      {"search_witness", true, OpRoute::kArtifact,
+       &Service::op_search_witness},
+      {"build_nbhd", true, OpRoute::kArtifact, &Service::op_build_nbhd},
+      {"info", false, OpRoute::kFanOutInfo, &Service::op_info},
+      {"health", false, OpRoute::kFanOutHealth, &Service::op_health},
+      {"session_open", false, OpRoute::kSession, &Service::op_session_open},
+      {"session_step", false, OpRoute::kSession, &Service::op_session_step},
+      {"session_close", false, OpRoute::kSession,
+       &Service::op_session_close},
+  };
+  return kOps;
+}
+
+const OpSpec* find_op(std::string_view name) {
+  for (const OpSpec& op : op_table()) {
+    if (op.name == name) {
+      return &op;
+    }
+  }
+  return nullptr;
+}
+
+Dispatcher::Dispatcher(std::string name)
+    : name_(std::move(name)),
+      requests_(metrics::counter(name_ + ".requests")),
+      errors_(metrics::counter(name_ + ".errors")),
+      integrity_rejects_(metrics::counter(name_ + ".integrity_rejects")) {}
+
+Json Dispatcher::refuse(const Json& id, std::string_view code,
+                        std::string_view message, std::string_view repro,
+                        std::int64_t retry_after_ms) {
+  errors_.inc();
+  return error_response(id, code, message, repro, retry_after_ms);
+}
+
+std::string Dispatcher::handle_text(const std::string& body,
+                                    std::uint64_t elapsed_ms,
+                                    std::int64_t conn) {
+  Json request;
+  try {
+    request = Json::parse(body);
+  } catch (const CheckError& e) {
+    return refuse(Json(), kErrInvalidRequest, e.what()).dump();
+  }
+  return handle(request, elapsed_ms, conn).dump();
+}
+
+Json Dispatcher::handle(const Json& request, std::uint64_t elapsed_ms,
+                        std::int64_t conn) {
+  requests_.inc();
+  const Json id = request.is_object() && request.contains("id")
+                      ? request.at("id")
+                      : Json();
+  if (draining()) {
+    return refuse(id, kErrDraining,
+                  format("%s is draining; resubmit elsewhere", name_.c_str()));
+  }
+  Request req;
+  try {
+    req = parse_request(request);
+  } catch (const CheckError& e) {
+    return refuse(id, kErrInvalidRequest, e.what());
+  }
+  if (req.deadline_ms > 0 && elapsed_ms > req.deadline_ms) {
+    return refuse(
+        id, kErrDeadline,
+        format("request waited %llu ms past its %llu ms deadline",
+               static_cast<unsigned long long>(elapsed_ms),
+               static_cast<unsigned long long>(req.deadline_ms)));
+  }
+
+  // End-to-end integrity: the client's "check" digest commits to the
+  // (op, params) it meant to send. Recompute from what actually arrived
+  // and refuse a mismatch -- a request corrupted in flight must get a
+  // retriable error, never an answer to the corrupted question.
+  std::optional<std::string> key;
+  if (!req.check.empty()) {
+    key = artifact_key(req.op, req.params);
+    const std::string digest = fnv1a_hex(*key);
+    if (req.check != digest) {
+      integrity_rejects_.inc();
+      return refuse(
+          req.id, kErrIntegrity,
+          format("request digest %s does not match the received payload "
+                 "(%s); the frame was corrupted in transit -- retry",
+                 req.check.c_str(), digest.c_str()));
+    }
+  }
+
+  const OpSpec* op = find_op(req.op);
+  if (op == nullptr) {
+    return refuse(req.id, kErrUnknownOp,
+                  format("unknown op '%s'", req.op.c_str()));
+  }
+  // The pre-work check above guarantees elapsed_ms <= deadline_ms.
+  if (req.deadline_ms > 0) {
+    req.deadline_ms -= elapsed_ms;
+  }
+  Admitted admitted(*op, std::move(req), conn, std::move(key));
+  return serve(admitted);
+}
+
+Json Dispatcher::queue_health() const {
+  // In-process use (no transport loop) reports an empty queue.
+  static const HealthState kNoQueue;
+  const HealthState* health = health_.load(std::memory_order_acquire);
+  if (health == nullptr) {
+    health = &kNoQueue;
+  }
+  Json queue = Json::object();
+  queue["depth"] = health->queue_depth.load(std::memory_order_relaxed);
+  queue["max"] = health->queue_max.load(std::memory_order_relaxed);
+  queue["admitted"] = health->admitted_total.load(std::memory_order_relaxed);
+  queue["shed"] = health->shed_total.load(std::memory_order_relaxed);
+  return queue;
+}
+
 Service::Service(ServiceConfig config)
-    : config_(std::move(config)),
+    : Dispatcher("service"),
+      config_(std::move(config)),
       pool_(audit_instance_pool()),
       cache_(config_.cache),
       protocols_(ia::standard_protocols()),
@@ -141,159 +278,39 @@ Service::Service(ServiceConfig config)
 
 Service::~Service() = default;
 
-std::vector<std::string> Service::ops() {
-  return {"run_decoder",  "check_coloring", "search_witness",
-          "build_nbhd",   "info",           "health",
-          "session_open", "session_step",   "session_close"};
-}
-
-std::string Service::handle_text(const std::string& body,
-                                 std::uint64_t elapsed_ms) {
-  return handle_text(body, elapsed_ms, /*conn=*/-1);
-}
-
-std::string Service::handle_text(const std::string& body,
-                                 std::uint64_t elapsed_ms,
-                                 std::int64_t conn) {
-  Json request;
-  try {
-    request = Json::parse(body);
-  } catch (const CheckError& e) {
-    metrics::counter("service.errors").inc();
-    return error_response(Json(), kErrInvalidRequest, e.what()).dump();
-  }
-  return handle(request, elapsed_ms, conn).dump();
-}
-
-Json Service::handle(const Json& request, std::uint64_t elapsed_ms,
-                     std::int64_t conn) {
-  metrics::counter("service.requests").inc();
-  const Json id = request.is_object() && request.contains("id")
-                      ? request.at("id")
-                      : Json();
-  if (draining()) {
-    metrics::counter("service.errors").inc();
-    return error_response(id, kErrDraining,
-                          "service is draining; resubmit elsewhere");
-  }
-  Request req;
-  try {
-    req = parse_request(request);
-  } catch (const CheckError& e) {
-    metrics::counter("service.errors").inc();
-    return error_response(id, kErrInvalidRequest, e.what());
-  }
-  if (req.deadline_ms > 0 && elapsed_ms > req.deadline_ms) {
-    metrics::counter("service.errors").inc();
-    return error_response(
-        id, kErrDeadline,
-        format("request waited %llu ms past its %llu ms deadline",
-               static_cast<unsigned long long>(elapsed_ms),
-               static_cast<unsigned long long>(req.deadline_ms)));
-  }
-
-  metrics::counter(format("service.%s.requests", req.op.c_str())).inc();
-  metrics::Histogram& latency =
-      metrics::histogram(format("service.%s.latency_ns", req.op.c_str()));
-  const std::uint64_t start = now_ns();
+Json Service::serve(Admitted& request) {
+  const OpMetrics& m = op_metrics(request.op);
+  m.requests->inc();
+  const metrics::ScopedTimerNs timer(*m.latency);
   trace::Span span("service.request");
-
-  // End-to-end integrity: the client's "check" digest commits to the
-  // (op, params) it meant to send. Recompute from what actually arrived
-  // and refuse a mismatch -- a request corrupted in flight must get a
-  // retriable error, never an answer to the corrupted question.
-  const std::string key = artifact_key(req.op, req.params);
-  if (!req.check.empty() && req.check != fnv1a_hex(key)) {
-    metrics::counter("service.errors").inc();
-    metrics::counter("service.integrity_rejects").inc();
-    return error_response(
-        req.id, kErrIntegrity,
-        format("request digest %s does not match the received payload (%s); "
-               "the frame was corrupted in transit -- retry",
-               req.check.c_str(), fnv1a_hex(key).c_str()));
-  }
 
   // Cache probe: cacheable ops replay the stored result bytes. The
   // session ops are stateful (each call advances a live session), so
   // they are never cached.
-  const bool is_session_op = req.op == "session_open" ||
-                             req.op == "session_step" ||
-                             req.op == "session_close";
-  const bool is_known_op =
-      req.op == "run_decoder" || req.op == "check_coloring" ||
-      req.op == "search_witness" || req.op == "build_nbhd" ||
-      req.op == "info" || req.op == "health" || is_session_op;
-  const bool cacheable = is_known_op && req.op != "info" &&
-                         req.op != "health" && !is_session_op;
-  if (cacheable) {
-    if (std::optional<std::string> cached = cache_.get(key)) {
-      latency.record(now_ns() - start);
-      return ok_response(req.id, Json::parse(*cached), /*cached=*/true,
-                         fnv1a_hex(*cached));
+  if (request.op.cacheable) {
+    if (std::optional<std::string> cached = cache_.get(request.key())) {
+      return ok_response(request.req.id, Json::parse(*cached),
+                         /*cached=*/true, fnv1a_hex(*cached));
     }
   }
-
-  // Deadline budget for the dispatch itself (0 = unbounded). The
-  // pre-work check above guarantees elapsed_ms <= deadline_ms here.
-  const std::uint64_t remaining_ms =
-      req.deadline_ms > 0 ? req.deadline_ms - elapsed_ms : 0;
 
   try {
-    Json result = dispatch(req, remaining_ms, conn);
+    Json result = (this->*request.op.run)(request);
     std::string dumped = result.dump();
     std::string digest = fnv1a_hex(dumped);
-    if (cacheable) {
-      cache_.insert(key, dumped);
+    if (request.op.cacheable) {
+      cache_.insert(request.key(), dumped);
     }
-    latency.record(now_ns() - start);
-    return ok_response(req.id, std::move(result), /*cached=*/false, digest);
+    return ok_response(request.req.id, std::move(result), /*cached=*/false,
+                       digest);
   } catch (const ServiceError& e) {
-    metrics::counter("service.errors").inc();
-    latency.record(now_ns() - start);
-    return error_response(req.id, e.code, e.message, e.repro,
-                          e.retry_after_ms);
+    return refuse(request.req.id, e.code, e.message, e.repro,
+                  e.retry_after_ms);
   } catch (const CheckError& e) {
-    metrics::counter("service.errors").inc();
-    latency.record(now_ns() - start);
-    return error_response(req.id, kErrInvalidParams, e.what());
+    return refuse(request.req.id, kErrInvalidParams, e.what());
   } catch (const std::exception& e) {
-    metrics::counter("service.errors").inc();
-    latency.record(now_ns() - start);
-    return error_response(req.id, kErrInternal, e.what());
+    return refuse(request.req.id, kErrInternal, e.what());
   }
-}
-
-Json Service::dispatch(const Request& req, std::uint64_t remaining_ms,
-                       std::int64_t conn) {
-  if (req.op == "session_open") {
-    return op_session_open(req.params, conn);
-  }
-  if (req.op == "session_step") {
-    return op_session_step(req.params);
-  }
-  if (req.op == "session_close") {
-    return op_session_close(req.params);
-  }
-  if (req.op == "run_decoder") {
-    return op_run_decoder(req.params);
-  }
-  if (req.op == "check_coloring") {
-    return op_check_coloring(req.params);
-  }
-  if (req.op == "search_witness") {
-    return op_search_witness(req.params);
-  }
-  if (req.op == "build_nbhd") {
-    return op_build_nbhd(req.params, remaining_ms);
-  }
-  if (req.op == "info") {
-    return op_info();
-  }
-  if (req.op == "health") {
-    return op_health();
-  }
-  throw ServiceError{kErrUnknownOp,
-                     format("unknown op '%s'", req.op.c_str()), ""};
 }
 
 const Lcp& Service::find_lcp(const std::string& name) const {
@@ -333,7 +350,8 @@ Instance Service::resolve_instance(const Json& spec,
   return instance_from_json(spec);
 }
 
-Json Service::op_run_decoder(const Json& params) const {
+Json Service::op_run_decoder(const Admitted& request) {
+  const Json& params = request.req.params;
   const std::string lcp_name = member_string(params, "lcp", "");
   if (lcp_name.empty()) {
     throw_params("run_decoder: missing 'lcp'");
@@ -407,7 +425,8 @@ Json Service::op_run_decoder(const Json& params) const {
   return result;
 }
 
-Json Service::op_check_coloring(const Json& params) const {
+Json Service::op_check_coloring(const Admitted& request) {
+  const Json& params = request.req.params;
   Graph g;
   std::string instance_name = "inline";
   if (params.contains("instance")) {
@@ -462,7 +481,8 @@ Json Service::op_check_coloring(const Json& params) const {
   return result;
 }
 
-Json Service::op_search_witness(const Json& params) const {
+Json Service::op_search_witness(const Admitted& request) {
+  const Json& params = request.req.params;
   const std::string family = member_string(params, "family", "");
   const int max_n = static_cast<int>(member_int(params, "max_n", 6));
   if (max_n < 2 || max_n > 8) {
@@ -606,8 +626,9 @@ std::vector<Graph> Service::resolve_graphs(const Json& specs) const {
   return graphs;
 }
 
-Json Service::op_build_nbhd(const Json& params,
-                            std::uint64_t remaining_ms) const {
+Json Service::op_build_nbhd(const Admitted& request) {
+  const Json& params = request.req.params;
+  const std::uint64_t remaining_ms = request.req.deadline_ms;
   const std::string lcp_name = member_string(params, "lcp", "");
   if (lcp_name.empty()) {
     throw_params("build_nbhd: missing 'lcp'");
@@ -709,7 +730,8 @@ std::string Service::session_param(const Json& params) {
   return id;
 }
 
-Json Service::op_session_open(const Json& params, std::int64_t conn) {
+Json Service::op_session_open(const Admitted& request) {
+  const Json& params = request.req.params;
   const std::string id = session_param(params);
   const std::string protocol_name =
       member_string(params, "protocol", "kcol-commit");
@@ -737,7 +759,7 @@ Json Service::op_session_open(const Json& params, std::int64_t conn) {
                            .next_u64();
 
   const ia::SessionTable::Refusal refusal = sessions_.open(
-      id, conn, [&] { return protocol.open(ctx); });
+      id, request.conn, [&] { return protocol.open(ctx); });
   switch (refusal) {
     case ia::SessionTable::Refusal::kNone:
       break;
@@ -770,7 +792,8 @@ Json Service::op_session_open(const Json& params, std::int64_t conn) {
   return result;
 }
 
-Json Service::op_session_step(const Json& params) {
+Json Service::op_session_step(const Admitted& request) {
+  const Json& params = request.req.params;
   const std::string id = session_param(params);
   if (!params.contains("msg") || !params.at("msg").is_object()) {
     throw_params("session_step: missing object 'msg'");
@@ -794,7 +817,8 @@ Json Service::op_session_step(const Json& params) {
   return result;
 }
 
-Json Service::op_session_close(const Json& params) {
+Json Service::op_session_close(const Admitted& request) {
+  const Json& params = request.req.params;
   const std::string id = session_param(params);
   ia::SessionTable::CloseResult closed = sessions_.close(id);
   if (!closed.found) {
@@ -812,12 +836,12 @@ Json Service::op_session_close(const Json& params) {
   return result;
 }
 
-Json Service::op_info() {
+Json Service::op_info(const Admitted& /*request*/) {
   Json result = Json::object();
   result["schema"] = kWireSchema;
   Json& ops_json = (result["ops"] = Json::array());
-  for (const std::string& op : ops()) {
-    ops_json.push_back(op);
+  for (const OpSpec& op : op_table()) {
+    ops_json.push_back(std::string(op.name));
   }
   Json& lcps_json = (result["lcps"] = Json::array());
   for (const auto& lcp : lcps_) {
@@ -854,24 +878,11 @@ Json Service::op_info() {
   return result;
 }
 
-Json Service::op_health() {
+Json Service::op_health(const Admitted& /*request*/) {
   Json result = Json::object();
   result["schema"] = kWireSchema;
   result["draining"] = draining();
-  Json& queue = (result["queue"] = Json::object());
-  const HealthState* health = health_.load(std::memory_order_acquire);
-  if (health != nullptr) {
-    queue["depth"] = health->queue_depth.load(std::memory_order_relaxed);
-    queue["max"] = health->queue_max.load(std::memory_order_relaxed);
-    queue["admitted"] = health->admitted_total.load(std::memory_order_relaxed);
-    queue["shed"] = health->shed_total.load(std::memory_order_relaxed);
-  } else {
-    // In-process use (no transport loop): the dispatcher has no queue.
-    queue["depth"] = 0;
-    queue["max"] = 0;
-    queue["admitted"] = 0;
-    queue["shed"] = 0;
-  }
+  result["queue"] = queue_health();
   // Session occupancy rides health so a router steering by load sees
   // cap pressure (live vs global_max) next to queue depth.
   Json& sessions_json = (result["sessions"] =

@@ -45,11 +45,16 @@
 //   session_close   abort a live session early (aborted sessions are
 //                   accounted separately from completed/expired ones).
 //
-// The first four ops are cached: the dispatcher stores the *dumped*
-// result string under artifact_key(op, params), so a hit replays the
-// original bytes. The session ops are stateful and therefore never
-// cached. Every op bumps service.<op>.requests and records into the
-// service.<op>.latency_ns histogram; errors bump service.errors.
+// The op table (op_table() below) is the single list of these ops: each
+// row names an op, says whether its result is cached, how the router
+// places it on the ring, and which Service member answers it. Cacheable
+// ops (run_decoder, check_coloring, search_witness, build_nbhd) store
+// the *dumped* result string under artifact_key(op, params), so a hit
+// replays the original bytes; info, health and the stateful session ops
+// are never cached. Every admitted op bumps service.<op>.requests and
+// records into the service.<op>.latency_ns histogram (both bound once
+// per row); errors bump service.errors. An op that is not in the table
+// is refused with "unknown_op" before any per-op metric is touched.
 //
 // Resilience (DESIGN.md §14): a request's optional "check" digest is
 // recomputed from the parsed params and a mismatch is refused with
@@ -59,6 +64,10 @@
 // delay already past it -> "deadline_exceeded" without dispatch) and
 // at frame boundaries inside build_nbhd (the one op long enough to
 // expire mid-flight), via the resumable builders' wall budget.
+//
+// Admission -- parse, drain refusal, envelope validation, the pre-work
+// deadline check, the integrity check and the op lookup -- is
+// Dispatcher's, shared with the Router (router.h) line for line.
 //
 // Draining: begin_drain() flips a flag after which every request is
 // answered with the "draining" error and nothing new is dispatched --
@@ -70,7 +79,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "interactive/table.h"
@@ -78,6 +91,7 @@
 #include "lcp/decoder.h"
 #include "service/cache.h"
 #include "service/proto.h"
+#include "util/metrics.h"
 
 namespace shlcp::svc {
 
@@ -129,11 +143,74 @@ struct HealthState {
   std::atomic<std::uint64_t> shed_total{0};      // refused "overloaded"
 };
 
+class Service;
+struct Admitted;
+
+/// How a router places an op on its ring (DESIGN.md §15).
+enum class OpRoute {
+  kArtifact,      // by artifact_key(op, params): cache locality
+  kSession,       // by the session id alone: session affinity
+  kFanOutInfo,    // on every backend; the router sums the info answers
+  kFanOutHealth,  // on every backend; the router lists the health answers
+};
+
+/// One row of the op table: an op of the wire protocol and every rule
+/// that follows from its name.
+struct OpSpec {
+  std::string_view name;
+  /// The result is stored under artifact_key(op, params) and replayed.
+  bool cacheable;
+  OpRoute route;
+  /// The Service member that answers it.
+  Json (Service::*run)(const Admitted&);
+};
+
+/// The op table: the single list of the ops a Dispatcher admits, in
+/// the order `info` reports them.
+std::span<const OpSpec> op_table();
+
+/// The row named `name`, or nullptr for an unknown op.
+const OpSpec* find_op(std::string_view name);
+
+/// A request that passed admission, as Dispatcher::serve sees it.
+struct Admitted {
+  Admitted(const OpSpec& op, Request req, std::int64_t conn,
+           std::optional<std::string> key)
+      : op(op), req(std::move(req)), conn(conn), key_(std::move(key)) {}
+
+  /// artifact_key(op, params), computed on first use: the integrity
+  /// check, the cache and the ring share one computation.
+  const std::string& key() {
+    if (!key_) {
+      key_ = artifact_key(req.op, req.params);
+    }
+    return *key_;
+  }
+
+  const OpSpec& op;
+  /// req.deadline_ms is the unexpired budget left after the queue
+  /// delay (0 = none).
+  Request req;
+  /// Transport connection slot the frame arrived on (-1 = none).
+  std::int64_t conn;
+
+ private:
+  std::optional<std::string> key_;
+};
+
 /// What a transport loop needs from whatever answers its requests.
 /// Service implements it by computing locally; Router (router.h)
 /// implements it by forwarding to a fleet of backends -- which is what
 /// lets shlcpd's pipe/unix/TCP/HTTP loops and shlcp_router share one
 /// server implementation (netloop.h) verbatim.
+///
+/// The Dispatcher admits every request, in this order: parse the body
+/// (else "invalid_request"), refuse while draining ("draining"),
+/// validate the envelope ("invalid_request"), refuse a request whose
+/// queue delay already passed its deadline ("deadline_exceeded"),
+/// verify its "check" digest ("integrity"), and look its op up in the
+/// op table ("unknown_op"). A subclass implements only serve(): what it
+/// does with an admitted request.
 ///
 /// Implementations must be thread-safe: the server dispatches a batch
 /// of handle_text() calls concurrently across a WorkerPool.
@@ -141,33 +218,61 @@ class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
 
-  /// Handles one raw frame body: parse, dispatch, serialize. Never
-  /// throws -- malformed input becomes an error response.
-  /// `elapsed_ms` is how long the request has already waited since
-  /// admission (the server's queue delay); it is charged against the
-  /// request's deadline_ms.
-  virtual std::string handle_text(const std::string& body,
-                                  std::uint64_t elapsed_ms) = 0;
+  /// Handles one raw frame body: admit, serve, serialize. Never throws
+  /// -- malformed input becomes an error response. `elapsed_ms` is how
+  /// long the request has already waited since admission (the server's
+  /// queue delay); it is charged against the request's deadline_ms.
+  /// `conn` is the transport connection slot the frame arrived on (-1 =
+  /// none / in-process); Service attributes session opens to it for the
+  /// per-connection cap.
+  std::string handle_text(const std::string& body,
+                          std::uint64_t elapsed_ms = 0,
+                          std::int64_t conn = -1);
 
-  /// Connection-aware variant: `conn` is the transport connection slot
-  /// the frame arrived on (-1 = none / in-process). The server's batch
-  /// dispatch calls this one; stateful dispatchers (Service, for
-  /// per-connection session caps) override it, everything else falls
-  /// through to the 2-arg overload.
-  virtual std::string handle_text(const std::string& body,
-                                  std::uint64_t elapsed_ms,
-                                  std::int64_t conn) {
-    (void)conn;
-    return handle_text(body, elapsed_ms);
-  }
+  /// Same, on an already-parsed document.
+  Json handle(const Json& request, std::uint64_t elapsed_ms = 0,
+              std::int64_t conn = -1);
 
   /// After this, every request is refused with the "draining" error.
-  virtual void begin_drain() = 0;
-  [[nodiscard]] virtual bool draining() const = 0;
+  void begin_drain() { draining_.store(true, std::memory_order_relaxed); }
+
+  [[nodiscard]] bool draining() const {
+    return draining_.load(std::memory_order_relaxed);
+  }
 
   /// Surfaces the transport loop's load counters through the `health`
-  /// op. Not owned; must outlive every handle call.
-  virtual void attach_health(const HealthState* health) = 0;
+  /// op. Not owned; must outlive every handle() call. Without one the
+  /// op reports zeros (in-process use). Atomic because several
+  /// transport loops (serve_transports) attach the same shared state
+  /// concurrently at startup.
+  void attach_health(const HealthState* health) {
+    health_.store(health, std::memory_order_release);
+  }
+
+ protected:
+  /// `name` ("service" or "router") prefixes the <name>.requests,
+  /// <name>.errors and <name>.integrity_rejects counters and names the
+  /// dispatcher in the "draining" refusal.
+  explicit Dispatcher(std::string name);
+
+  /// Answers one admitted request.
+  virtual Json serve(Admitted& request) = 0;
+
+  /// An error response; bumps <name>.errors.
+  Json refuse(const Json& id, std::string_view code, std::string_view message,
+              std::string_view repro = "", std::int64_t retry_after_ms = -1);
+
+  /// The `health` op's "queue" member: the attached HealthState's
+  /// counters, zeros without one.
+  [[nodiscard]] Json queue_health() const;
+
+ private:
+  std::string name_;
+  metrics::Counter& requests_;
+  metrics::Counter& errors_;
+  metrics::Counter& integrity_rejects_;
+  std::atomic<bool> draining_{false};
+  std::atomic<const HealthState*> health_{nullptr};
 };
 
 /// Transport-independent request dispatcher. Thread-safe: handle() may
@@ -179,30 +284,6 @@ class Service : public Dispatcher {
   explicit Service(ServiceConfig config = {});
   ~Service() override;
 
-  /// Handles one raw frame body: parse, dispatch, serialize. Never
-  /// throws -- malformed input becomes an error response.
-  /// `elapsed_ms` is how long the request has already waited since
-  /// admission (the server's queue delay); it is charged against the
-  /// request's deadline_ms.
-  std::string handle_text(const std::string& body,
-                          std::uint64_t elapsed_ms = 0) override;
-  std::string handle_text(const std::string& body, std::uint64_t elapsed_ms,
-                          std::int64_t conn) override;
-
-  /// Same, on an already-parsed document. `conn` attributes session
-  /// opens to a connection for the per-connection cap (-1 = exempt).
-  Json handle(const Json& request, std::uint64_t elapsed_ms = 0,
-              std::int64_t conn = -1);
-
-  /// After this, every request is refused with the "draining" error.
-  void begin_drain() override {
-    draining_.store(true, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool draining() const override {
-    return draining_.load(std::memory_order_relaxed);
-  }
-
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
 
   /// Live session-table occupancy (also surfaced by info/health).
@@ -213,32 +294,21 @@ class Service : public Dispatcher {
     return sessions_.counters();
   }
 
-  /// Surfaces the transport loop's load counters through the `health`
-  /// op. Not owned; must outlive every handle() call. Without one the
-  /// op reports zeros (in-process use). Atomic because several
-  /// transport loops (serve_transports) attach the same shared state
-  /// concurrently at startup.
-  void attach_health(const HealthState* health) override {
-    health_.store(health, std::memory_order_release);
-  }
-
-  /// Stable list of the operations this service answers.
-  [[nodiscard]] static std::vector<std::string> ops();
-
  private:
-  /// `remaining_ms` is the request's unexpired deadline budget (0 =
-  /// none); long-running ops stop at the next frame boundary past it.
-  Json dispatch(const Request& req, std::uint64_t remaining_ms,
-                std::int64_t conn);
-  Json op_run_decoder(const Json& params) const;
-  Json op_check_coloring(const Json& params) const;
-  Json op_search_witness(const Json& params) const;
-  Json op_build_nbhd(const Json& params, std::uint64_t remaining_ms) const;
-  Json op_info();
-  Json op_health();
-  Json op_session_open(const Json& params, std::int64_t conn);
-  Json op_session_step(const Json& params);
-  Json op_session_close(const Json& params);
+  friend std::span<const OpSpec> op_table();
+
+  Json serve(Admitted& request) override;
+  // The op table's handlers. build_nbhd stops at the next frame
+  // boundary past the request's remaining deadline budget.
+  Json op_run_decoder(const Admitted& request);
+  Json op_check_coloring(const Admitted& request);
+  Json op_search_witness(const Admitted& request);
+  Json op_build_nbhd(const Admitted& request);
+  Json op_info(const Admitted& request);
+  Json op_health(const Admitted& request);
+  Json op_session_open(const Admitted& request);
+  Json op_session_step(const Admitted& request);
+  Json op_session_close(const Admitted& request);
 
   const Lcp& find_lcp(const std::string& name) const;
   /// Resolves params["instance"]: a pool name or an inline object.
@@ -255,8 +325,6 @@ class Service : public Dispatcher {
   ArtifactCache cache_;
   std::vector<std::unique_ptr<ia::InteractiveProtocol>> protocols_;
   ia::SessionTable sessions_;
-  std::atomic<bool> draining_{false};
-  std::atomic<const HealthState*> health_{nullptr};
 };
 
 }  // namespace shlcp::svc

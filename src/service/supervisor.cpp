@@ -18,6 +18,7 @@
 
 #include "service/client.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/format.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -27,13 +28,6 @@ namespace shlcp::svc {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Shell convention: exit code for a normal exit, 128+signal for a
 /// signal death (so SIGKILL reads as 137 in fleet health).
@@ -239,12 +233,12 @@ bool Supervisor::spawn_child(Child& c) {
   }
 
   c.pid = pid;
-  const std::uint64_t deadline = now_ms() + options_.spawn_wait_ms;
+  const std::uint64_t deadline = mono_ms() + options_.spawn_wait_ms;
 
   // Phase 1 of the handshake: the port file is published (atomic
   // rename) only once every listener is bound.
   bool published = false;
-  while (now_ms() < deadline) {
+  while (mono_ms() < deadline) {
     if (fs::exists(c.port_file, ec)) {
       published = true;
       break;
@@ -265,7 +259,7 @@ bool Supervisor::spawn_child(Child& c) {
     ClientOptions probe_options;
     probe_options.timeout_ms = options_.probe_timeout_ms;
     probe_options.retry.max_attempts = 1;
-    while (now_ms() < deadline) {
+    while (mono_ms() < deadline) {
       Client probe(Client::unix_connector(c.socket_path, ChaosPlan{}),
                    probe_options);
       if (probe.call("health", Json::object()).ok) {
@@ -286,7 +280,7 @@ bool Supervisor::spawn_child(Child& c) {
   }
   c.running = true;
   c.probe_timeouts_in_a_row = 0;
-  c.last_probe_ms = now_ms();
+  c.last_probe_ms = mono_ms();
   metrics::counter("supervisor.spawns").inc();
   return true;
 }
@@ -442,7 +436,7 @@ void Supervisor::start_monitor() {
   stop_.store(false, std::memory_order_relaxed);
   monitor_ = std::thread([this] {
     while (!stop_.load(std::memory_order_relaxed)) {
-      poll_once(now_ms());
+      poll_once(mono_ms());
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   });
@@ -459,7 +453,7 @@ void Supervisor::stop() {
       ::kill(child->pid, SIGINT);  // graceful drain, then exit 0
     }
   }
-  const std::uint64_t deadline = now_ms() + 5'000;
+  const std::uint64_t deadline = mono_ms() + 5'000;
   for (auto& child : children_) {
     Child& c = *child;
     if (!c.running) {
@@ -468,7 +462,7 @@ void Supervisor::stop() {
     int status = 0;
     pid_t r = 0;
     while ((r = ::waitpid(c.pid, &status, WNOHANG)) == 0 &&
-           now_ms() < deadline) {
+           mono_ms() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     if (r == 0) {

@@ -1,21 +1,14 @@
 #include "util/budget.h"
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 
 #include "util/check.h"
+#include "util/clock.h"
 
 namespace shlcp {
 
 namespace {
-
-std::uint64_t steady_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// The token a live SigintGuard routes SIGINT into. A plain atomic
 /// pointer: the handler only calls the async-signal-safe request_stop.
@@ -88,7 +81,7 @@ SigintGuard::~SigintGuard() {
 BudgetTracker::BudgetTracker(const RunBudget& budget, CancelToken& token)
     : budget_(budget), token_(token) {
   if (budget_.wall_ms > 0) {
-    deadline_ns_ = steady_now_ns() + budget_.wall_ms * 1'000'000u;
+    deadline_ns_ = mono_ns() + budget_.wall_ms * 1'000'000u;
   }
   if (budget_.arm_sigint) {
     sigint_.emplace(token_);
@@ -111,7 +104,7 @@ bool BudgetTracker::should_stop() noexcept {
   if (token_.stop_requested()) {
     return true;
   }
-  if (deadline_ns_ != 0 && steady_now_ns() >= deadline_ns_) {
+  if (deadline_ns_ != 0 && mono_ns() >= deadline_ns_) {
     token_.request_stop(StopReason::kDeadline);
     return true;
   }

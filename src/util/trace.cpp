@@ -1,24 +1,17 @@
 #include "util/trace.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/format.h"
 
 namespace shlcp::trace {
 
 namespace {
-
-std::uint64_t raw_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Sink state. g_enabled is the fast-path flag; the FILE* and its mutex
 // are only touched when a record is actually written.
@@ -27,7 +20,7 @@ std::mutex g_sink_mu;
 std::FILE* g_sink = nullptr;
 
 std::uint64_t trace_epoch() noexcept {
-  static const std::uint64_t epoch = raw_now_ns();
+  static const std::uint64_t epoch = mono_ns();
   return epoch;
 }
 
@@ -97,7 +90,7 @@ void disable() {
   }
 }
 
-std::uint64_t now_ns() noexcept { return raw_now_ns() - trace_epoch(); }
+std::uint64_t now_ns() noexcept { return mono_ns() - trace_epoch(); }
 
 unsigned thread_id() noexcept {
   static std::atomic<unsigned> next{0};

@@ -318,6 +318,30 @@ TEST_F(RouterFleet, CallerErrorsComeBackVerbatim) {
   EXPECT_EQ(reroutes, 0u);
 }
 
+// The router admits with the same op table as the backends: an unknown
+// op is refused locally, with the backends' code and message, and no
+// backend ever sees it.
+TEST_F(RouterFleet, UnknownOpsAreRefusedWithoutForwarding) {
+  std::vector<std::uint64_t> forwarded;
+  for (const auto& stats : router_->backend_stats()) {
+    forwarded.push_back(stats.forwarded);
+  }
+  for (int i = 0; i < 500; ++i) {
+    const std::string op = "bogus_op_" + std::to_string(i);
+    const Json resp = router_->handle(make_request(i, op, Json::object()));
+    EXPECT_FALSE(resp.at("ok").as_bool());
+    EXPECT_EQ(resp.at("error").at("code").as_string(), "unknown_op");
+    EXPECT_EQ(resp.at("error").at("message").as_string(),
+              "unknown op '" + op + "'");
+    EXPECT_EQ(resp.at("id").as_int(), i);
+  }
+  const std::vector<RouterBackendStats> after = router_->backend_stats();
+  ASSERT_EQ(after.size(), forwarded.size());
+  for (std::size_t b = 0; b < after.size(); ++b) {
+    EXPECT_EQ(after[b].forwarded, forwarded[b]) << after[b].name;
+  }
+}
+
 TEST_F(RouterFleet, InfoAggregatesTheFleet) {
   const Json resp = router_->handle(make_request(1, "info", Json::object()));
   ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();

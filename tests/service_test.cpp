@@ -37,6 +37,7 @@
 #include "service/server.h"
 #include "service/service.h"
 #include "util/budget.h"
+#include "util/metrics.h"
 
 namespace shlcp::svc {
 namespace {
@@ -249,6 +250,48 @@ TEST(ServiceErrors, ErrorCodeContract) {
   // handle_text on unparseable bytes: an error response, not a throw.
   const Json garbage = Json::parse(service.handle_text("{nope"));
   EXPECT_EQ(error_code(garbage), kErrInvalidRequest);
+}
+
+// Any client can send any op name. An unknown one must be refused
+// before a per-op metric is registered, or distinct bogus names would
+// grow the metric registry without bound.
+TEST(ServiceErrors, UnknownOpsRegisterNoMetrics) {
+  Service service;
+  const std::uint64_t errors_before =
+      metrics::counter("service.errors").value();
+  for (int i = 0; i < 500; ++i) {
+    const std::string op = "bogus_op_" + std::to_string(i);
+    const Json response = service.handle(make_request(i, op, Json::object()));
+    EXPECT_EQ(error_code(response), kErrUnknownOp);
+    EXPECT_EQ(response.at("error").at("message").as_string(),
+              "unknown op '" + op + "'");
+  }
+  EXPECT_EQ(metrics::counter("service.errors").value() - errors_before, 500u);
+  const metrics::Snapshot snap = metrics::snapshot();
+  std::vector<std::string> names;
+  for (const auto& [name, value] : snap.counters) {
+    names.push_back(name);
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    names.push_back(name);
+  }
+  for (const auto& [name, hist] : snap.histograms) {
+    names.push_back(name);
+  }
+  for (const std::string& name : names) {
+    EXPECT_NE(name.rfind("service.bogus_op_", 0), 0u) << name;
+  }
+}
+
+// Admission order: a corrupted request is refused with "integrity"
+// even when its op is also unknown, as before the op table existed.
+TEST(ServiceErrors, IntegrityIsCheckedBeforeTheOpLookup) {
+  Service service;
+  Json req = make_request(1, "frobnicate", Json::object());
+  req["check"] = "fnv:0000000000000000";
+  EXPECT_EQ(error_code(service.handle(req)), kErrIntegrity);
+  req["check"] = fnv1a_hex(artifact_key("frobnicate", Json::object()));
+  EXPECT_EQ(error_code(service.handle(req)), kErrUnknownOp);
 }
 
 // A frame of ~2M nested '[' fits the 4 MiB frame cap; the parser's
