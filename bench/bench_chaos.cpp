@@ -35,42 +35,36 @@
 // check_bench_json.py --chaos); exit status is nonzero if any gate
 // fails.
 
-#include <fcntl.h>
-#include <signal.h>
 #include <sys/socket.h>
-#include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
 #include "bench/report.h"
 #include "service/chaos.h"
 #include "service/client.h"
-#include "service/service.h"
+#include "service/process.h"
 #include "service/supervisor.h"
-#include "sim/faults.h"
 #include "util/check.h"
 #include "util/format.h"
 #include "util/json.h"
 
 using namespace shlcp;
+using bench::kPoolSize;
+using bench::pool_payload;
 using svc::ChaosPlan;
 using svc::ChaosStats;
 using svc::Client;
 using svc::ClientOptions;
 using svc::ClientStats;
 using svc::FaultyTransport;
-using svc::Service;
 
 namespace {
 
@@ -79,64 +73,6 @@ constexpr int kMinKills = 3;
 int chaos_requests() { return bench::smoke() ? 90 : 240; }
 int chaos_workers() { return 3; }
 int kill_spacing_ms() { return bench::smoke() ? 250 : 400; }
-
-/// The fixed payload pool: every request in every pass draws one of
-/// these slots, so the oracle table is computed once. All four
-/// cacheable endpoints are represented and every payload is
-/// deterministic (seeded fault plans, fixed instances).
-constexpr int kPoolSize = 16;
-
-std::pair<std::string, Json> pool_payload(int slot) {
-  const std::uint64_t variant = static_cast<std::uint64_t>(slot) / 4;
-  Json params = Json::object();
-  switch (slot % 4) {
-    case 0: {
-      static const std::pair<const char*, const char*> kCombos[] = {
-          {"degree-one", "path5"},
-          {"spanning-bfs", "cycle6"},
-          {"even-cycle", "cycle8"},
-          {"degree-one", "star5"},
-      };
-      const auto& [lcp, inst] = kCombos[variant % std::size(kCombos)];
-      params["lcp"] = lcp;
-      params["instance"] = inst;
-      params["labels"] = "honest";
-      if (variant % 2 == 1) {
-        FaultPlan plan;
-        plan.label = "drop-light";
-        plan.seed = 0xC0FFEE + variant;
-        plan.drop_permille = 100;
-        params["plan"] = plan.describe();
-      }
-      return {"run_decoder", std::move(params)};
-    }
-    case 1: {
-      static const char* kPool[] = {"path5", "cycle5", "grid23", "theta222"};
-      params["instance"] = kPool[variant % std::size(kPool)];
-      params["k"] = static_cast<std::int64_t>(2 + variant % 2);
-      return {"check_coloring", std::move(params)};
-    }
-    case 2: {
-      params["family"] = variant % 2 == 0 ? "degree-one" : "even-cycle";
-      params["max_n"] = 4;
-      return {"search_witness", std::move(params)};
-    }
-    default: {
-      static const std::pair<const char*, const char*> kBuilds[] = {
-          {"degree-one", "path:4"},
-          {"even-cycle", "cycle:4"},
-          {"spanning-bfs", "path:4"},
-          {"even-cycle", "cycle:6"},
-      };
-      const auto& [lcp, spec] = kBuilds[variant % std::size(kBuilds)];
-      params["lcp"] = lcp;
-      Json& graphs = (params["graphs"] = Json::array());
-      graphs.push_back(spec);
-      params["build"] = "proved";
-      return {"build_nbhd", std::move(params)};
-    }
-  }
-}
 
 /// Two payloads the load passes never touch: primed through the daemon
 /// exactly once before the crashes, so after the final restart they can
@@ -149,76 +85,41 @@ std::pair<std::string, Json> reserve_payload(int which) {
   return {"check_coloring", std::move(params)};
 }
 
-/// The oracle: the same library code the daemon runs, in-process, no
-/// transport and no shared cache. Its result dumps are the ground
-/// truth every wire response is compared against byte-for-byte. Slots
-/// [0, kPoolSize) are the load pool; the last two are the reserves.
+/// The oracle's dumps: slots [0, kPoolSize) are the load pool; the last
+/// two are the reserves.
 std::vector<std::string> compute_oracle() {
-  Service oracle;
-  std::vector<std::string> dumps;
-  for (int slot = 0; slot < kPoolSize + 2; ++slot) {
-    auto [op, params] = slot < kPoolSize ? pool_payload(slot)
-                                         : reserve_payload(slot - kPoolSize);
-    Json req = Json::object();
-    req["id"] = static_cast<std::int64_t>(slot);
-    req["op"] = op;
-    req["params"] = std::move(params);
-    const Json resp = oracle.handle(req);
-    SHLCP_CHECK_MSG(resp.at("ok").as_bool(),
-                    "oracle refused slot " + std::to_string(slot) + ": " +
-                        resp.dump());
-    dumps.push_back(resp.at("result").dump());
-  }
-  return dumps;
+  return bench::compute_oracle(kPoolSize + 2, [](int slot) {
+    return slot < kPoolSize ? pool_payload(slot)
+                            : reserve_payload(slot - kPoolSize);
+  });
 }
 
+/// The daemon under test: shlcpd on a unix socket in `dir`, with its
+/// disk cache in `dir`/cache. Its log is appended to, so restarts stack.
 struct Daemon {
-  pid_t pid = -1;
+  std::string shlcpd;
+  bench::TempDir dir{"shlcp-chaos"};
+  svc::ChildProcess proc;  // reaped before `dir` is removed
+
+  std::string socket_path() const { return dir.path() + "/shlcp.sock"; }
+  std::string cache_dir() const { return dir.path() + "/cache"; }
+
+  /// Spawns a fresh incarnation and waits until it answers `health`.
+  /// A SIGKILLed incarnation leaves its port file behind; spawn_ready
+  /// removes it, so only the new one can satisfy the wait.
+  bool start() {
+    if (proc.spawn_ready({shlcpd, "--socket", socket_path(), "--cache-dir",
+                          cache_dir(), "--threads", "2"},
+                         dir.path() + "/ports.json",
+                         svc::ChildStdio{dir.path() + "/shlcpd.log"}, 5'000)) {
+      return true;
+    }
+    std::fprintf(stderr,
+                 "bench_chaos: shlcpd never became ready (exit status %d)\n",
+                 proc.last_exit());
+    return false;
+  }
 };
-
-/// fork+exec a daemon on `socket_path` with its disk cache in
-/// `cache_dir`; stderr goes to `log_path` (append, so restarts stack).
-pid_t spawn_daemon(const std::string& shlcpd, const std::string& socket_path,
-                   const std::string& cache_dir, const std::string& log_path) {
-  const pid_t pid = ::fork();
-  SHLCP_CHECK_MSG(pid >= 0, "fork failed");
-  if (pid == 0) {
-    const int log_fd =
-        ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (log_fd >= 0) {
-      ::dup2(log_fd, 1);
-      ::dup2(log_fd, 2);
-      ::close(log_fd);
-    }
-    ::execl(shlcpd.c_str(), shlcpd.c_str(), "--socket", socket_path.c_str(),
-            "--cache-dir", cache_dir.c_str(), "--threads", "2",
-            static_cast<char*>(nullptr));
-    std::perror("execl shlcpd");
-    _exit(127);
-  }
-  return pid;
-}
-
-bool wait_for_socket(const std::string& socket_path, int attempts = 100) {
-  for (int i = 0; i < attempts; ++i) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd >= 0) {
-      sockaddr_un addr = {};
-      addr.sun_family = AF_UNIX;
-      std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                    socket_path.c_str());
-      const int rc =
-          ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof(addr));
-      ::close(fd);
-      if (rc == 0) {
-        return true;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
 
 /// Per-pass outcome counters. "lost" = every retry exhausted below the
 /// protocol (no error code); "wrong" = a completed response whose
@@ -240,18 +141,7 @@ struct PassResult {
     errors += other.errors;
     lost += other.lost;
     wrong += other.wrong;
-    stats.calls += other.stats.calls;
-    stats.attempts += other.stats.attempts;
-    stats.retries += other.stats.retries;
-    stats.reconnects += other.stats.reconnects;
-    stats.timeouts += other.stats.timeouts;
-    stats.transport_errors += other.stats.transport_errors;
-    stats.digest_mismatches += other.stats.digest_mismatches;
-    stats.refused_overloaded += other.stats.refused_overloaded;
-    stats.refused_draining += other.stats.refused_draining;
-    stats.refused_deadline += other.stats.refused_deadline;
-    stats.refused_integrity += other.stats.refused_integrity;
-    stats.backoff_ms_total += other.stats.backoff_ms_total;
+    stats += other.stats;
   }
 };
 
@@ -323,13 +213,10 @@ PassResult run_transport_chaos(const std::string& socket_path,
 
 /// Pass 2: open-ended stream on a calm wire while the supervisor
 /// SIGKILLs and restarts the daemon >= kMinKills times. Returns the
-/// merged pass result; `daemon` holds the pid of the final incarnation.
-PassResult run_kill_restart(const std::string& shlcpd,
-                            const std::string& socket_path,
-                            const std::string& cache_dir,
-                            const std::string& log_path,
-                            const std::vector<std::string>& oracle,
+/// merged pass result; `daemon` runs the final incarnation.
+PassResult run_kill_restart(const std::vector<std::string>& oracle,
                             Daemon* daemon, int* kills) {
+  const std::string socket_path = daemon->socket_path();
   const int workers = chaos_workers();
   std::atomic<bool> stop{false};
   std::vector<PassResult> outs(static_cast<std::size_t>(workers));
@@ -354,17 +241,16 @@ PassResult run_kill_restart(const std::string& shlcpd,
   }
 
   // The supervisor: kill -9 mid-stream, reap, restart, repeat. Each
-  // cycle waits for the new incarnation to accept before the next kill
-  // so every crash lands on a daemon that was actually serving.
+  // cycle waits for the new incarnation to be ready before the next
+  // kill so every crash lands on a daemon that was actually serving. A
+  // failed restart ends the cycle; the workers' lost calls fail the gate.
   for (int cycle = 0; cycle < kMinKills; ++cycle) {
     std::this_thread::sleep_for(std::chrono::milliseconds(kill_spacing_ms()));
-    ::kill(daemon->pid, SIGKILL);
-    int status = 0;
-    ::waitpid(daemon->pid, &status, 0);
+    daemon->proc.kill();
     *kills += 1;
-    daemon->pid = spawn_daemon(shlcpd, socket_path, cache_dir, log_path);
-    SHLCP_CHECK_MSG(wait_for_socket(socket_path),
-                    "restarted daemon never came up");
+    if (!daemon->start()) {
+      break;
+    }
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(kill_spacing_ms()));
   stop.store(true, std::memory_order_relaxed);
@@ -532,20 +418,17 @@ int main() {
     return 1;
   }
 
-  char tmpl[] = "/tmp/shlcp-chaos.XXXXXX";
-  SHLCP_CHECK_MSG(::mkdtemp(tmpl) != nullptr, "mkdtemp failed");
-  const std::string dir = tmpl;
-  const std::string socket_path = dir + "/shlcp.sock";
-  const std::string cache_dir = dir + "/cache";
-  const std::string log_path = dir + "/shlcpd.log";
+  Daemon daemon;
+  daemon.shlcpd = shlcpd;
+  const std::string socket_path = daemon.socket_path();
+  const std::string cache_dir = daemon.cache_dir();
   std::filesystem::create_directory(cache_dir);
+  if (!daemon.start()) {
+    return 1;
+  }
 
   std::printf("== oracle: %d payload slots, in-process ==\n", kPoolSize);
   const std::vector<std::string> oracle = compute_oracle();
-
-  Daemon daemon;
-  daemon.pid = spawn_daemon(shlcpd, socket_path, cache_dir, log_path);
-  SHLCP_CHECK_MSG(wait_for_socket(socket_path), "daemon never came up");
 
   ChaosPlan plan;
   plan.label = "bench-mixed";
@@ -576,8 +459,7 @@ int main() {
 
   std::printf("== pass 2: kill -9 x%d mid-stream ==\n", kMinKills);
   int kills = 0;
-  const PassResult crash = run_kill_restart(shlcpd, socket_path, cache_dir,
-                                            log_path, oracle, &daemon, &kills);
+  const PassResult crash = run_kill_restart(oracle, &daemon, &kills);
   std::printf(
       "crash: %d kills, %llu ok, %llu refused, %llu errors, %llu lost, "
       "%llu WRONG (retries=%llu reconnects=%llu)\n",
@@ -597,12 +479,6 @@ int main() {
 
   const bool replay = check_replay(plan);
   std::printf("fault schedule replay: %s\n", replay ? "ok" : "FAILED");
-
-  ::kill(daemon.pid, SIGKILL);
-  int status = 0;
-  ::waitpid(daemon.pid, &status, 0);
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
 
   const std::uint64_t wrong = chaos.wrong + crash.wrong;
   const bool chaos_accounted =

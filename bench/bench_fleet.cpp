@@ -29,38 +29,30 @@
 // identity, zero duplicates), never throughput-shaped beyond "> 0".
 // Exit status is nonzero if any gate fails.
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
 #include "bench/report.h"
 #include "service/cache.h"
+#include "service/process.h"
 #include "service/router.h"
-#include "service/service.h"
 #include "service/supervisor.h"
-#include "sim/faults.h"
 #include "util/check.h"
 #include "util/format.h"
 #include "util/json.h"
 
 using namespace shlcp;
+using bench::kPoolSize;
+using bench::pool_payload;
 using svc::BackendSpec;
 using svc::Router;
 using svc::RouterOptions;
-using svc::Service;
 
 namespace {
 
@@ -70,82 +62,6 @@ std::vector<int> fleet_sizes() {
   return bench::smoke() ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
 }
 
-/// The fixed payload pool (the same shape bench_chaos uses): every
-/// request draws one of kPoolSize deterministic payloads, so the
-/// oracle is computed once and the distinct-key count is exact.
-constexpr int kPoolSize = 16;
-
-std::pair<std::string, Json> pool_payload(int slot) {
-  const std::uint64_t variant = static_cast<std::uint64_t>(slot) / 4;
-  Json params = Json::object();
-  switch (slot % 4) {
-    case 0: {
-      static const std::pair<const char*, const char*> kCombos[] = {
-          {"degree-one", "path5"},
-          {"spanning-bfs", "cycle6"},
-          {"even-cycle", "cycle8"},
-          {"degree-one", "star5"},
-      };
-      const auto& [lcp, inst] = kCombos[variant % std::size(kCombos)];
-      params["lcp"] = lcp;
-      params["instance"] = inst;
-      params["labels"] = "honest";
-      if (variant % 2 == 1) {
-        FaultPlan plan;
-        plan.label = "drop-light";
-        plan.seed = 0xC0FFEE + variant;
-        plan.drop_permille = 100;
-        params["plan"] = plan.describe();
-      }
-      return {"run_decoder", std::move(params)};
-    }
-    case 1: {
-      static const char* kPool[] = {"path5", "cycle5", "grid23", "theta222"};
-      params["instance"] = kPool[variant % std::size(kPool)];
-      params["k"] = static_cast<std::int64_t>(2 + variant % 2);
-      return {"check_coloring", std::move(params)};
-    }
-    case 2: {
-      params["family"] = variant % 2 == 0 ? "degree-one" : "even-cycle";
-      params["max_n"] = 4;
-      return {"search_witness", std::move(params)};
-    }
-    default: {
-      static const std::pair<const char*, const char*> kBuilds[] = {
-          {"degree-one", "path:4"},
-          {"even-cycle", "cycle:4"},
-          {"spanning-bfs", "path:4"},
-          {"even-cycle", "cycle:6"},
-      };
-      const auto& [lcp, spec] = kBuilds[variant % std::size(kBuilds)];
-      params["lcp"] = lcp;
-      Json& graphs = (params["graphs"] = Json::array());
-      graphs.push_back(spec);
-      params["build"] = "proved";
-      return {"build_nbhd", std::move(params)};
-    }
-  }
-}
-
-/// Ground truth: the same library code the backends run, in-process.
-std::vector<std::string> compute_oracle() {
-  Service oracle;
-  std::vector<std::string> dumps;
-  for (int slot = 0; slot < kPoolSize; ++slot) {
-    auto [op, params] = pool_payload(slot);
-    Json req = Json::object();
-    req["id"] = static_cast<std::int64_t>(slot);
-    req["op"] = op;
-    req["params"] = std::move(params);
-    const Json resp = oracle.handle(req);
-    SHLCP_CHECK_MSG(resp.at("ok").as_bool(),
-                    "oracle refused slot " + std::to_string(slot) + ": " +
-                        resp.dump());
-    dumps.push_back(resp.at("result").dump());
-  }
-  return dumps;
-}
-
 std::size_t distinct_keys() {
   std::set<std::string> keys;
   for (int slot = 0; slot < kPoolSize; ++slot) {
@@ -153,50 +69,6 @@ std::size_t distinct_keys() {
     keys.insert(svc::artifact_key(op, params));
   }
   return keys.size();
-}
-
-struct Backend {
-  pid_t pid = -1;
-  int port = 0;
-};
-
-/// fork+exec one TCP backend on an ephemeral port; blocks until its
-/// --port-file handshake lands and returns the bound port.
-Backend spawn_backend(const std::string& shlcpd, const std::string& dir,
-                      int index) {
-  const std::string port_file = format("%s/ports%d.json", dir.c_str(), index);
-  const std::string log_path = format("%s/backend%d.log", dir.c_str(), index);
-  Backend backend;
-  backend.pid = ::fork();
-  SHLCP_CHECK_MSG(backend.pid >= 0, "fork failed");
-  if (backend.pid == 0) {
-    const int log_fd =
-        ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (log_fd >= 0) {
-      ::dup2(log_fd, 1);
-      ::dup2(log_fd, 2);
-      ::close(log_fd);
-    }
-    ::execl(shlcpd.c_str(), shlcpd.c_str(), "--tcp", "127.0.0.1:0",
-            "--port-file", port_file.c_str(), "--threads", "1",
-            static_cast<char*>(nullptr));
-    std::perror("execl shlcpd");
-    _exit(127);
-  }
-  for (int i = 0; i < 200; ++i) {
-    std::ifstream in(port_file);
-    if (in) {
-      std::stringstream buf;
-      buf << in.rdbuf();
-      const Json ports = Json::parse(buf.str());
-      backend.port = static_cast<int>(ports.at("tcp").as_uint());
-      return backend;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  SHLCP_CHECK_MSG(false, "backend " + std::to_string(index) +
-                             " never published its port file");
-  return backend;
 }
 
 struct CaseResult {
@@ -215,19 +87,30 @@ struct CaseResult {
 
 /// One fleet size: spawn n backends, route the pool through an
 /// in-process Router, read the aggregated health back, tear down.
-CaseResult run_case(const std::string& shlcpd, int n,
-                    const std::vector<std::string>& oracle) {
-  char tmpl[] = "/tmp/shlcp-fleet.XXXXXX";
-  SHLCP_CHECK_MSG(::mkdtemp(tmpl) != nullptr, "mkdtemp failed");
-  const std::string dir = tmpl;
-
-  std::vector<Backend> fleet;
+/// nullopt if a backend never became ready.
+std::optional<CaseResult> run_case(const std::string& shlcpd, int n,
+                                   const std::vector<std::string>& oracle) {
+  const bench::TempDir dir("shlcp-fleet");
+  std::vector<svc::ChildProcess> fleet(static_cast<std::size_t>(n));
   RouterOptions options;
   for (int b = 0; b < n; ++b) {
-    fleet.push_back(spawn_backend(shlcpd, dir, b));
+    svc::ChildProcess& backend = fleet[static_cast<std::size_t>(b)];
+    const std::optional<Json> ports = backend.spawn_ready(
+        {shlcpd, "--tcp", "127.0.0.1:0", "--threads", "1"},
+        format("%s/ports%d.json", dir.path().c_str(), b),
+        svc::ChildStdio{format("%s/backend%d.log", dir.path().c_str(), b)},
+        10'000);
+    if (!ports) {
+      std::fprintf(stderr,
+                   "bench_fleet: backend %d never became ready (exit status "
+                   "%d)\n",
+                   b, backend.last_exit());
+      return std::nullopt;
+    }
     BackendSpec spec;
     spec.name = format("b%d", b);
-    spec.target = format("tcp:127.0.0.1:%d", fleet.back().port);
+    spec.target = format("tcp:127.0.0.1:%llu", static_cast<unsigned long long>(
+                                                   ports->at("tcp").as_uint()));
     options.backends.push_back(std::move(spec));
   }
   Router router(options);
@@ -330,14 +213,7 @@ CaseResult run_case(const std::string& shlcpd, int n,
     result.ownership_ok = false;
   }
 
-  for (const Backend& b : fleet) {
-    ::kill(b.pid, SIGKILL);
-    int status = 0;
-    ::waitpid(b.pid, &status, 0);
-  }
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  return result;
+  return result;  // the fleet is killed and reaped, then `dir` removed
 }
 
 }  // namespace
@@ -353,7 +229,8 @@ int main() {
 
   std::printf("== oracle: %d payload slots (%zu distinct keys) ==\n",
               kPoolSize, distinct_keys());
-  const std::vector<std::string> oracle = compute_oracle();
+  const std::vector<std::string> oracle =
+      bench::compute_oracle(kPoolSize, pool_payload);
 
   bench::Report report("fleet");
   std::uint64_t requests = 0;
@@ -366,7 +243,11 @@ int main() {
   for (const int n : fleet_sizes()) {
     std::printf("== fleet of %d backend(s): %d requests ==\n", n,
                 fleet_requests());
-    const CaseResult r = run_case(shlcpd, n, oracle);
+    const std::optional<CaseResult> run = run_case(shlcpd, n, oracle);
+    if (!run) {
+      return 1;
+    }
+    const CaseResult& r = *run;
     std::printf(
         "backends=%d: %.1f req/s (%llu ok, %llu errors, %llu wrong) "
         "misses=%llu distinct=%zu duplicates=%llu reroutes=%llu "

@@ -32,15 +32,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
 #include "bench/report.h"
 #include "service/client.h"
 #include "service/router.h"
-#include "service/service.h"
 #include "service/supervisor.h"
 #include "util/check.h"
 #include "util/format.h"
@@ -51,7 +50,6 @@ using namespace shlcp;
 using svc::BackendRuntime;
 using svc::Router;
 using svc::RouterOptions;
-using svc::Service;
 using svc::SupervisedBackendStats;
 using svc::Supervisor;
 using svc::SupervisorOptions;
@@ -87,23 +85,6 @@ std::pair<std::string, Json> payload(int slot) {
   params["instance"] = slot == kPoolSize ? "complete4" : "star5";
   params["k"] = 3;
   return {"check_coloring", std::move(params)};
-}
-
-std::vector<std::string> compute_oracle() {
-  Service oracle;
-  std::vector<std::string> dumps;
-  for (int slot = 0; slot < kPoolSize + kReserves; ++slot) {
-    auto [op, params] = payload(slot);
-    Json req = Json::object();
-    req["id"] = static_cast<std::int64_t>(slot);
-    req["op"] = op;
-    req["params"] = std::move(params);
-    const Json resp = oracle.handle(req);
-    SHLCP_CHECK_MSG(resp.at("ok").as_bool(),
-                    "oracle refused slot " + std::to_string(slot));
-    dumps.push_back(resp.at("result").dump());
-  }
-  return dumps;
 }
 
 Json make_request(std::int64_t id, int slot) {
@@ -201,15 +182,13 @@ int main() {
     return 1;
   }
 
-  char tmpl[] = "/tmp/shlcp-supervisor.XXXXXX";
-  SHLCP_CHECK_MSG(::mkdtemp(tmpl) != nullptr, "mkdtemp failed");
-  const std::string dir = tmpl;
-
-  const std::vector<std::string> oracle = compute_oracle();
+  const bench::TempDir dir("shlcp-supervisor");
+  const std::vector<std::string> oracle =
+      bench::compute_oracle(kPoolSize + kReserves, payload);
 
   SupervisorOptions sup_options;
   sup_options.shlcpd_path = shlcpd;
-  sup_options.work_dir = dir;
+  sup_options.work_dir = dir.path();
   sup_options.backends = fleet_size();
   sup_options.backend_threads = 2;
   sup_options.restart.base_backoff_ms = 50;
@@ -220,8 +199,10 @@ int main() {
   sup_options.breaker_failures = 5;
   sup_options.breaker_window_ms = 1'000;
   sup_options.probe_interval_ms = 200;
-  Supervisor supervisor(sup_options);
-  SHLCP_CHECK_MSG(supervisor.start(), "fleet never came up");
+  Supervisor supervisor(sup_options);  // stopped before `dir` is removed
+  if (!supervisor.start()) {
+    return 1;
+  }
 
   RouterOptions router_options;
   router_options.backends = supervisor.backend_specs();
@@ -382,9 +363,6 @@ int main() {
   report.meta()["stream_errors"] = stream.errors;
   report.meta()["stream_lost"] = stream.lost;
   report.write();
-
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
 
   const bool gate = stream.wrong == 0 && kills >= kMinKills &&
                     restarts >= static_cast<std::uint64_t>(kills) &&

@@ -70,8 +70,9 @@
 //   --interactive        drive commit-reveal sessions instead of the mix
 //   --rounds R           challenge rounds per session (default 2)
 //
-// Exit status: 0 iff every response was ok (or an allowed refusal) and
-// the hit-rate / SLO requirements (if any) held.
+// Exit status: 0 iff every response was ok (or an allowed refusal),
+// the hit-rate / SLO requirements (if any) held, and a --spawn daemon
+// exited 0.
 
 #include <algorithm>
 #include <cerrno>
@@ -85,12 +86,12 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "graph/algorithms.h"
@@ -99,9 +100,11 @@
 #include "interactive/protocol.h"
 #include "service/chaos.h"
 #include "service/client.h"
+#include "service/process.h"
 #include "service/proto.h"
 #include "sim/faults.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/format.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -109,6 +112,7 @@
 namespace {
 
 using shlcp::mix64;
+using shlcp::mono_us;
 
 using shlcp::FaultPlan;
 using shlcp::Json;
@@ -119,35 +123,22 @@ using shlcp::svc::FrameReader;
 struct Endpoint {
   int write_fd = -1;
   int read_fd = -1;
-  pid_t child = -1;
 };
 
-Endpoint spawn_daemon(const char* path) {
+/// Spawns `path --pipe` into `daemon` with our pipe ends as its stdin
+/// and stdout. The pipes are O_CLOEXEC, so only the copies dup2'd onto
+/// the child's stdin and stdout survive its exec.
+Endpoint spawn_daemon(const char* path, shlcp::svc::ChildProcess* daemon) {
   int to_child[2];
   int from_child[2];
-  if (pipe(to_child) != 0 || pipe(from_child) != 0) {
-    std::perror("pipe");
+  if (pipe2(to_child, O_CLOEXEC) != 0 || pipe2(from_child, O_CLOEXEC) != 0 ||
+      !daemon->spawn({path, "--pipe"}, {"", to_child[0], from_child[1]})) {
+    std::perror("spawn");
     std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    dup2(to_child[0], 0);
-    dup2(from_child[1], 1);
-    close(to_child[0]);
-    close(to_child[1]);
-    close(from_child[0]);
-    close(from_child[1]);
-    execl(path, path, "--pipe", static_cast<char*>(nullptr));
-    std::perror("execl");
-    _exit(127);
   }
   close(to_child[0]);
   close(from_child[1]);
-  return Endpoint{to_child[1], from_child[0], pid};
+  return Endpoint{to_child[1], from_child[0]};
 }
 
 Endpoint connect_socket(const char* path) {
@@ -164,7 +155,7 @@ Endpoint connect_socket(const char* path) {
     std::perror("connect");
     std::exit(1);
   }
-  return Endpoint{fd, fd, -1};
+  return Endpoint{fd, fd};
 }
 
 Endpoint connect_tcp(const std::string& host, int port) {
@@ -191,14 +182,7 @@ Endpoint connect_tcp(const std::string& host, int port) {
   }
   const int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return Endpoint{fd, fd, -1};
-}
-
-std::uint64_t now_us() {
-  timespec ts = {};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000u +
-         static_cast<std::uint64_t>(ts.tv_nsec) / 1'000u;
+  return Endpoint{fd, fd};
 }
 
 bool write_all(int fd, std::string_view data) {
@@ -314,7 +298,7 @@ int run_resilient(const std::string& target, std::uint64_t total,
   };
   std::vector<WorkerOut> outs(concurrency);
   std::vector<std::thread> workers;
-  const std::uint64_t t0 = now_us();
+  const std::uint64_t t0 = mono_us();
   for (std::uint64_t w = 0; w < concurrency; ++w) {
     workers.emplace_back([&, w] {
       WorkerOut& out = outs[w];
@@ -331,7 +315,7 @@ int run_resilient(const std::string& target, std::uint64_t total,
             shlcp::Rng(seed * 7919 + slot).next_u64() >> 8;
         const std::string op = pick_op(mix, key_variant);
         const Json params = make_params(op, key_variant);
-        std::uint64_t sent_us = now_us();
+        std::uint64_t sent_us = mono_us();
         if (open_loop) {
           // Sleep until request i's scheduled send time -- never until
           // the server is ready -- and charge latency from the
@@ -349,7 +333,7 @@ int run_resilient(const std::string& target, std::uint64_t total,
             client.call(op, params, deadline_ms);
         OpTally& tally = out.tallies[op];
         ++tally.count;
-        tally.latencies_us.push_back(now_us() - sent_us);
+        tally.latencies_us.push_back(mono_us() - sent_us);
         if (!r.ok) {
           if (r.error_code == "draining") {
             ++out.refused;
@@ -368,7 +352,7 @@ int run_resilient(const std::string& target, std::uint64_t total,
   for (std::thread& t : workers) {
     t.join();
   }
-  const double elapsed_s = static_cast<double>(now_us() - t0) / 1e6;
+  const double elapsed_s = static_cast<double>(mono_us() - t0) / 1e6;
 
   std::map<std::string, OpTally> tallies;
   shlcp::svc::ClientStats stats;
@@ -383,18 +367,7 @@ int run_resilient(const std::string& target, std::uint64_t total,
                                  tally.latencies_us.begin(),
                                  tally.latencies_us.end());
     }
-    stats.calls += out.stats.calls;
-    stats.attempts += out.stats.attempts;
-    stats.retries += out.stats.retries;
-    stats.reconnects += out.stats.reconnects;
-    stats.timeouts += out.stats.timeouts;
-    stats.transport_errors += out.stats.transport_errors;
-    stats.digest_mismatches += out.stats.digest_mismatches;
-    stats.refused_overloaded += out.stats.refused_overloaded;
-    stats.refused_draining += out.stats.refused_draining;
-    stats.refused_deadline += out.stats.refused_deadline;
-    stats.refused_integrity += out.stats.refused_integrity;
-    stats.backoff_ms_total += out.stats.backoff_ms_total;
+    stats += out.stats;
     refused += out.refused;
     lost += out.lost;
   }
@@ -506,7 +479,7 @@ int run_interactive(const std::string& target, std::uint64_t total,
   };
   std::vector<WorkerOut> outs(concurrency);
   std::vector<std::thread> workers;
-  const std::uint64_t t0 = now_us();
+  const std::uint64_t t0 = mono_us();
   for (std::uint64_t w = 0; w < concurrency; ++w) {
     workers.emplace_back([&, w] {
       WorkerOut& out = outs[w];
@@ -518,7 +491,7 @@ int run_interactive(const std::string& target, std::uint64_t total,
         const std::string id = shlcp::format(
             "lg-%llu-%llu", static_cast<unsigned long long>(w),
             static_cast<unsigned long long>(i));
-        const std::uint64_t sent_us = now_us();
+        const std::uint64_t sent_us = mono_us();
         ++out.sessions;
         Json open_params = Json::object();
         open_params["session"] = id;
@@ -601,14 +574,14 @@ int run_interactive(const std::string& target, std::uint64_t total,
                        "loadgen: [session %s] honest session rejected\n",
                        id.c_str());
         }
-        out.latencies_us.push_back(now_us() - sent_us);
+        out.latencies_us.push_back(mono_us() - sent_us);
       }
     });
   }
   for (std::thread& t : workers) {
     t.join();
   }
-  const double elapsed_s = static_cast<double>(now_us() - t0) / 1e6;
+  const double elapsed_s = static_cast<double>(mono_us() - t0) / 1e6;
 
   std::uint64_t sessions = 0;
   std::uint64_t accepted = 0;
@@ -790,9 +763,10 @@ int main(int argc, char** argv) {
                          slo_p99_us, open_loop, rate, options);
   }
 
+  shlcp::svc::ChildProcess daemon;  // runs only with --spawn
   Endpoint ep;
   if (spawn_path != nullptr) {
-    ep = spawn_daemon(spawn_path);
+    ep = spawn_daemon(spawn_path, &daemon);
   } else if (socket_path != nullptr) {
     ep = connect_socket(socket_path);
   } else {
@@ -810,7 +784,7 @@ int main(int argc, char** argv) {
   std::uint64_t done = 0;
   std::uint64_t refused = 0;
   std::uint64_t transport_lost = 0;
-  const std::uint64_t t0 = now_us();
+  const std::uint64_t t0 = mono_us();
 
   while (done + transport_lost < total) {
     bool transport_ok = true;
@@ -832,7 +806,7 @@ int main(int argc, char** argv) {
         transport_ok = false;
         break;
       }
-      outstanding[sent] = {req.at("op").as_string(), now_us()};
+      outstanding[sent] = {req.at("op").as_string(), mono_us()};
       ++sent;
     }
     if (!transport_ok) {
@@ -870,7 +844,7 @@ int main(int argc, char** argv) {
       }
       OpTally& tally = tallies[it->second.first];
       ++tally.count;
-      tally.latencies_us.push_back(now_us() - it->second.second);
+      tally.latencies_us.push_back(mono_us() - it->second.second);
       if (!resp.at("ok").as_bool()) {
         const std::string& code =
             resp.at("error").at("code").as_string();
@@ -892,7 +866,7 @@ int main(int argc, char** argv) {
     }
   }
   const double elapsed_s =
-      static_cast<double>(now_us() - t0) / 1e6;
+      static_cast<double>(mono_us() - t0) / 1e6;
 
   // Final (uncached) info request for the server-side cache hit-rate.
   double hit_rate = -1.0;
@@ -924,13 +898,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (spawn_path != nullptr) {
-    close(ep.write_fd);  // EOF -> clean daemon exit
-    int status = 0;
-    waitpid(ep.child, &status, 0);
-  } else {
-    close(ep.write_fd);
-  }
+  close(ep.write_fd);  // EOF -> a spawned daemon exits cleanly
+  const int daemon_exit = daemon.wait();  // -1: nothing was spawned
 
   std::uint64_t errors = 0;
   std::vector<std::uint64_t> overall_us;
@@ -963,6 +932,11 @@ int main(int argc, char** argv) {
     std::printf("cache_hit_rate=%.4f\n", hit_rate);
   }
 
+  if (daemon_exit > 0) {
+    std::fprintf(stderr, "loadgen: spawned daemon exited with status %d\n",
+                 daemon_exit);
+    return 1;
+  }
   if (errors > 0) {
     return 1;
   }

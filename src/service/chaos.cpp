@@ -6,28 +6,15 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "util/check.h"
+#include "util/descriptor.h"
 #include "util/format.h"
 
 namespace shlcp::svc {
 
 namespace {
-
-/// Extracts "key=value" from `field`, checking the key.
-std::string expect_field(const std::string& field, const char* key) {
-  const std::string prefix = std::string(key) + "=";
-  SHLCP_CHECK_MSG(field.rfind(prefix, 0) == 0,
-                  format("chaos-plan descriptor: expected '%s=...', got '%s'",
-                         key, field.c_str()));
-  return field.substr(prefix.size());
-}
-
-int parse_int(const std::string& text) {
-  return static_cast<int>(std::strtol(text.c_str(), nullptr, 10));
-}
 
 /// Writes all of `data` to `fd`, retrying EINTR and never raising
 /// SIGPIPE (sockets take MSG_NOSIGNAL; pipes rely on the caller having
@@ -71,34 +58,21 @@ std::string ChaosPlan::describe() const {
 }
 
 ChaosPlan ChaosPlan::parse(const std::string& descriptor) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t semi = descriptor.find(';', start);
-    fields.push_back(descriptor.substr(
-        start, semi == std::string::npos ? std::string::npos : semi - start));
-    if (semi == std::string::npos) {
-      break;
-    }
-    start = semi + 1;
-  }
-  SHLCP_CHECK_MSG(fields.size() == 7,
-                  format("chaos-plan descriptor needs 7 ';'-fields, got %d: %s",
-                         static_cast<int>(fields.size()), descriptor.c_str()));
+  const DescriptorReader d(descriptor, 7, "chaos-plan");
   ChaosPlan plan;
-  plan.label = fields[0];
-  plan.seed = std::strtoull(expect_field(fields[1], "seed").c_str(), nullptr, 0);
-  plan.write_chop_permille = parse_int(expect_field(fields[2], "wchop"));
-  plan.read_chop_permille = parse_int(expect_field(fields[3], "rchop"));
-  plan.corrupt_permille = parse_int(expect_field(fields[4], "corrupt"));
-  plan.reset_permille = parse_int(expect_field(fields[5], "reset"));
-  const std::string delay = expect_field(fields[6], "delay");
+  plan.label = d.label();
+  plan.seed = d.seed(1);
+  plan.write_chop_permille = d.integer(2, "wchop");
+  plan.read_chop_permille = d.integer(3, "rchop");
+  plan.corrupt_permille = d.integer(4, "corrupt");
+  plan.reset_permille = d.integer(5, "reset");
+  const std::string delay = d.value(6, "delay");
   const std::size_t at = delay.find('@');
   SHLCP_CHECK_MSG(at != std::string::npos && delay.size() > at + 2 &&
                       delay.compare(delay.size() - 2, 2, "ms") == 0,
                   "chaos-plan descriptor: delay field needs '<permille>@<N>ms'");
-  plan.delay_permille = parse_int(delay.substr(0, at));
-  plan.max_delay_ms = parse_int(delay.substr(at + 1, delay.size() - at - 3));
+  plan.delay_permille = d.to_int(delay.substr(0, at));
+  plan.max_delay_ms = d.to_int(delay.substr(at + 1, delay.size() - at - 3));
   return plan;
 }
 

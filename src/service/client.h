@@ -90,6 +90,23 @@ struct ClientStats {
   std::uint64_t refused_deadline = 0;
   std::uint64_t refused_integrity = 0;
   std::uint64_t backoff_ms_total = 0;
+
+  /// Field-wise sum: merges per-worker stats into one run total.
+  ClientStats& operator+=(const ClientStats& o) {
+    calls += o.calls;
+    attempts += o.attempts;
+    retries += o.retries;
+    reconnects += o.reconnects;
+    timeouts += o.timeouts;
+    transport_errors += o.transport_errors;
+    digest_mismatches += o.digest_mismatches;
+    refused_overloaded += o.refused_overloaded;
+    refused_draining += o.refused_draining;
+    refused_deadline += o.refused_deadline;
+    refused_integrity += o.refused_integrity;
+    backoff_ms_total += o.backoff_ms_total;
+    return *this;
+  }
 };
 
 /// Outcome of one call() after retries.

@@ -181,15 +181,20 @@ class HttpProtocol final : public ConnProtocol {
     std::string op;
     Json params = Json::object();
     if (req.method == "GET") {
-      if (req.target == "/healthz" || req.target == "/v1/health") {
-        op = "health";
-      } else if (req.target == "/v1/info") {
-        op = "info";
-      } else {
+      // GET /v1/<op> serves the op table's param-free rows, the
+      // info/health fan-outs; /healthz aliases /v1/health.
+      const std::string target =
+          req.target == "/healthz" ? "/v1/health" : req.target;
+      const OpSpec* spec = target.rfind("/v1/", 0) == 0
+                               ? find_op(std::string_view(target).substr(4))
+                               : nullptr;
+      if (spec == nullptr || (spec->route != OpRoute::kFanOutInfo &&
+                              spec->route != OpRoute::kFanOutHealth)) {
         canned(404, kErrUnknownOp,
                format("no route for GET %s", req.target.c_str()));
         return;
       }
+      op = spec->name;
     } else if (req.method == "POST") {
       if (req.target.rfind("/v1/", 0) != 0 || req.target.size() <= 4) {
         canned(404, kErrUnknownOp,

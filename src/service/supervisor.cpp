@@ -1,22 +1,18 @@
 #include "service/supervisor.h"
 
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "service/client.h"
+#include "service/process.h"
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/format.h"
@@ -25,23 +21,7 @@
 
 namespace shlcp::svc {
 
-namespace {
-
 namespace fs = std::filesystem;
-
-/// Shell convention: exit code for a normal exit, 128+signal for a
-/// signal death (so SIGKILL reads as 137 in fleet health).
-int decode_wait_status(int status) {
-  if (WIFEXITED(status)) {
-    return WEXITSTATUS(status);
-  }
-  if (WIFSIGNALED(status)) {
-    return 128 + WTERMSIG(status);
-  }
-  return -1;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------
 // CrashLoopBreaker.
@@ -122,11 +102,9 @@ struct Supervisor::Child {
   std::string cache_dir;
   std::string log_path;
 
-  pid_t pid = -1;
-  bool running = false;
+  ChildProcess proc;  // running() while spawned, ready and not reaped
   bool quarantined = false;
   std::uint64_t restarts = 0;
-  int last_exit = -1;
   std::uint64_t wedge_kills = 0;
 
   /// Consecutive failed spawn/restart attempts since the last success;
@@ -188,97 +166,20 @@ std::string Supervisor::find_shlcpd(const char* argv0) {
 
 bool Supervisor::spawn_child(Child& c) {
   std::error_code ec;
-  // A stale port file must never satisfy the readiness handshake:
-  // shlcpd removes it on graceful exit, the supervisor removes it
-  // before every spawn, so its presence always means *this*
-  // incarnation is bound.
-  fs::remove(c.port_file, ec);
   fs::create_directories(c.cache_dir, ec);  // reused across restarts
-
   std::vector<std::string> args = {
       options_.shlcpd_path,
       "--socket",     c.socket_path,
-      "--port-file",  c.port_file,
       "--cache-dir",  c.cache_dir,
       "--threads",    format("%d", std::max(options_.backend_threads, 1)),
   };
   args.insert(args.end(), options_.backend_args.begin(),
               options_.backend_args.end());
-
-  // argv is assembled BEFORE fork: the parent is multithreaded, so the
-  // child may only touch async-signal-safe calls between fork and exec
-  // (a malloc there can deadlock on an arena lock some other thread
-  // held at fork time).
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) {
-    argv.push_back(a.data());
-  }
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
+  if (!c.proc.spawn_ready(std::move(args), c.port_file,
+                          ChildStdio{c.log_path}, options_.spawn_wait_ms,
+                          options_.probe_timeout_ms)) {
     return false;
   }
-  if (pid == 0) {
-    const int log_fd =
-        ::open(c.log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (log_fd >= 0) {
-      ::dup2(log_fd, 1);
-      ::dup2(log_fd, 2);
-      ::close(log_fd);
-    }
-    ::execv(argv[0], argv.data());
-    _exit(127);  // exec failed; the parent sees a dead readiness wait
-  }
-
-  c.pid = pid;
-  const std::uint64_t deadline = mono_ms() + options_.spawn_wait_ms;
-
-  // Phase 1 of the handshake: the port file is published (atomic
-  // rename) only once every listener is bound.
-  bool published = false;
-  while (mono_ms() < deadline) {
-    if (fs::exists(c.port_file, ec)) {
-      published = true;
-      break;
-    }
-    int status = 0;
-    if (::waitpid(pid, &status, WNOHANG) == pid) {
-      c.pid = -1;
-      c.last_exit = decode_wait_status(status);
-      return false;  // died before binding (bad flags, exec failure)
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  // Phase 2: one health round-trip proves the dispatcher is answering,
-  // not merely bound.
-  bool ready = false;
-  if (published) {
-    ClientOptions probe_options;
-    probe_options.timeout_ms = options_.probe_timeout_ms;
-    probe_options.retry.max_attempts = 1;
-    while (mono_ms() < deadline) {
-      Client probe(Client::unix_connector(c.socket_path, ChaosPlan{}),
-                   probe_options);
-      if (probe.call("health", Json::object()).ok) {
-        ready = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-
-  if (!ready) {
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    c.pid = -1;
-    c.last_exit = decode_wait_status(status);
-    return false;
-  }
-  c.running = true;
   c.probe_timeouts_in_a_row = 0;
   c.last_probe_ms = mono_ms();
   metrics::counter("supervisor.spawns").inc();
@@ -294,16 +195,10 @@ bool Supervisor::start() {
       std::fprintf(stderr,
                    "supervisor: backend %s never became ready "
                    "(last_exit=%d, log: %s)\n",
-                   child->name.c_str(), child->last_exit,
+                   child->name.c_str(), child->proc.last_exit(),
                    child->log_path.c_str());
       for (auto& other : children_) {
-        if (other->running) {
-          ::kill(other->pid, SIGKILL);
-          int status = 0;
-          ::waitpid(other->pid, &status, 0);
-          other->running = false;
-          other->pid = -1;
-        }
+        other->proc.kill();
       }
       return false;
     }
@@ -326,18 +221,14 @@ void Supervisor::push_runtime(const Child& c) {
   BackendRuntime rt;
   rt.quarantined = c.quarantined;
   rt.restarts = c.restarts;
-  rt.last_exit = c.last_exit;
-  rt.pid = c.running ? static_cast<std::int64_t>(c.pid) : -1;
+  rt.last_exit = c.proc.last_exit();
+  rt.pid = c.proc.pid();
   router_->set_backend_runtime(c.name, rt);
-  router_->set_backend_alive(c.name, c.running && !c.quarantined);
+  router_->set_backend_alive(c.name, c.proc.running() && !c.quarantined);
 }
 
-void Supervisor::on_exit(Child& c, int status, std::uint64_t now) {
-  c.running = false;
-  c.pid = -1;
-  c.last_exit = decode_wait_status(status);
+void Supervisor::on_failure(Child& c, std::uint64_t now) {
   c.failed_attempts += 1;
-  metrics::counter("supervisor.crashes").inc();
   const CrashLoopBreaker::State st = c.breaker.record_failure(now);
   if (st == CrashLoopBreaker::State::kOpen) {
     c.quarantined = true;
@@ -356,30 +247,25 @@ void Supervisor::poll_once(std::uint64_t now) {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& child : children_) {
     Child& c = *child;
-    if (c.running) {
-      int status = 0;
-      const pid_t r = ::waitpid(c.pid, &status, WNOHANG);
-      if (r == c.pid) {
-        on_exit(c, status, now);
+    if (c.proc.running()) {
+      if (c.proc.try_reap()) {
+        metrics::counter("supervisor.crashes").inc();
+        on_failure(c, now);
         continue;
       }
       if (now - c.last_probe_ms >= options_.probe_interval_ms) {
         c.last_probe_ms = now;
-        ClientOptions probe_options;
-        probe_options.timeout_ms = options_.probe_timeout_ms;
-        probe_options.retry.max_attempts = 1;
-        Client probe(Client::unix_connector(c.socket_path, ChaosPlan{}),
-                     probe_options);
-        const CallResult res = probe.call("health", Json::object());
+        const CallResult res =
+            probe_health("unix:" + c.socket_path, options_.probe_timeout_ms);
         if (res.ok) {
           c.probe_timeouts_in_a_row = 0;
         } else if (res.fail_kind == CallResult::FailKind::kTimeout) {
           // Alive per waitpid but not answering: the wedge signal.
           // Connection-refused is NOT counted here -- that means the
-          // process is mid-death and waitpid will reap it next tick.
+          // process is mid-death and the next tick reaps it.
           c.probe_timeouts_in_a_row += 1;
           if (c.probe_timeouts_in_a_row >= options_.wedge_probe_timeouts) {
-            ::kill(c.pid, SIGKILL);  // reaped as a crash next tick
+            c.proc.signal(SIGKILL);  // reaped as a crash next tick
             c.wedge_kills += 1;
             c.probe_timeouts_in_a_row = 0;
             metrics::counter("supervisor.wedge_kills").inc();
@@ -414,19 +300,7 @@ void Supervisor::poll_once(std::uint64_t now) {
         metrics::counter("supervisor.restarts").inc();
         push_runtime(c);
       } else {
-        c.failed_attempts += 1;
-        const CrashLoopBreaker::State st = c.breaker.record_failure(now);
-        if (st == CrashLoopBreaker::State::kOpen) {
-          c.quarantined = true;
-          c.restart_due_ms = 0;
-          metrics::counter("supervisor.quarantines").inc();
-        } else {
-          c.restart_due_ms =
-              now + restart_backoff_ms(options_.restart,
-                                       static_cast<std::uint64_t>(c.index),
-                                       c.failed_attempts);
-        }
-        push_runtime(c);
+        on_failure(c, now);
       }
     }
   }
@@ -449,29 +323,7 @@ void Supervisor::stop() {
   }
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& child : children_) {
-    if (child->running) {
-      ::kill(child->pid, SIGINT);  // graceful drain, then exit 0
-    }
-  }
-  const std::uint64_t deadline = mono_ms() + 5'000;
-  for (auto& child : children_) {
-    Child& c = *child;
-    if (!c.running) {
-      continue;
-    }
-    int status = 0;
-    pid_t r = 0;
-    while ((r = ::waitpid(c.pid, &status, WNOHANG)) == 0 &&
-           mono_ms() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    if (r == 0) {
-      ::kill(c.pid, SIGKILL);
-      ::waitpid(c.pid, &status, 0);
-    }
-    c.last_exit = decode_wait_status(status);
-    c.running = false;
-    c.pid = -1;
+    child->proc.stop();  // graceful drain, SIGKILL past the grace period
   }
 }
 
@@ -496,11 +348,11 @@ std::vector<SupervisedBackendStats> Supervisor::stats() const {
     SupervisedBackendStats s;
     s.name = child->name;
     s.target = "unix:" + child->socket_path;
-    s.pid = child->running ? child->pid : -1;
-    s.running = child->running;
+    s.pid = child->proc.pid();
+    s.running = child->proc.running();
     s.quarantined = child->quarantined;
     s.restarts = child->restarts;
-    s.last_exit = child->last_exit;
+    s.last_exit = child->proc.last_exit();
     s.wedge_kills = child->wedge_kills;
     out.push_back(std::move(s));
   }
@@ -512,8 +364,7 @@ pid_t Supervisor::pid_of(int index) const {
   if (index < 0 || index >= static_cast<int>(children_.size())) {
     return -1;
   }
-  const Child& c = *children_[static_cast<std::size_t>(index)];
-  return c.running ? c.pid : -1;
+  return children_[static_cast<std::size_t>(index)]->proc.pid();
 }
 
 }  // namespace shlcp::svc

@@ -3,8 +3,8 @@
 // The router (router.h) reroutes around a dead backend but never
 // revives one, so an unsupervised fleet degrades monotonically under
 // the crash faults a single daemon provably survives (bench_chaos).
-// Supervisor closes that loop: it fork/execs the backend processes
-// itself, watches them with waitpid plus periodic `health` probes, and
+// Supervisor closes that loop: it spawns the backend processes itself,
+// watches them with waitpid plus periodic `health` probes, and
 // restarts whatever dies -- so the fleet converges back to full
 // strength instead of shrinking toward zero.
 //
@@ -24,14 +24,12 @@
 //   splitmix-keyed discipline the resilient Client uses, so a chaos
 //   run's restart timeline replays exactly from its seed.
 //
-//   Supervisor -- the process manager. Spawning uses the --port-file
-//   readiness handshake: the stale file is removed first (shlcpd also
-//   removes it on graceful exit, so a leftover one always means a
-//   crash), the child is exec'd with its own unix socket, port file,
-//   log, and disk-cache directory, and the backend counts as ready
-//   only once the port file is published *and* a `health` round-trip
-//   succeeds. Restarts are warm: the dead backend's cache directory is
-//   reused, so a revived shard serves its pre-crash artifacts from
+//   Supervisor -- the process manager. Each backend is one
+//   ChildProcess (process.h) with its own unix socket, port file, log,
+//   and disk-cache directory; it counts as ready only once
+//   ChildProcess::spawn_ready has seen the port file *and* a `health`
+//   round-trip. Restarts are warm: the dead backend's cache directory
+//   is reused, so a revived shard serves its pre-crash artifacts from
 //   disk instead of recomputing them.
 //
 // Wedge detection: a live process that stops answering is as dead as a
@@ -191,8 +189,9 @@ class Supervisor {
   /// Starts the background monitor (waitpid + probes + restarts).
   void start_monitor();
 
-  /// Stops the monitor, SIGINTs every child (graceful drain), and
-  /// reaps them (SIGKILL after a bounded grace period). Idempotent.
+  /// Stops the monitor, then stops each child in turn with
+  /// ChildProcess::stop (SIGINT to drain, SIGKILL past a 5 s grace
+  /// period, reap). Idempotent.
   void stop();
 
   /// Ring specs for the spawned fleet, in backend order -- what the
@@ -214,8 +213,10 @@ class Supervisor {
  private:
   struct Child;
 
-  bool spawn_child(Child& c);  // fork/exec + readiness handshake
-  void on_exit(Child& c, int status, std::uint64_t now_ms);
+  bool spawn_child(Child& c);  // ChildProcess::spawn_ready
+  /// A crash or failed restart: back off, or quarantine past the
+  /// breaker's threshold.
+  void on_failure(Child& c, std::uint64_t now_ms);
   void push_runtime(const Child& c);
 
   SupervisorOptions options_;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "util/check.h"
+#include "util/descriptor.h"
 #include "util/format.h"
 
 namespace shlcp {
@@ -40,15 +41,6 @@ std::vector<Node> parse_node_list(const std::string& text) {
   return nodes;
 }
 
-/// Extracts "key=value" from `field`, checking the key.
-std::string expect_field(const std::string& field, const char* key) {
-  const std::string prefix = std::string(key) + "=";
-  SHLCP_CHECK_MSG(field.rfind(prefix, 0) == 0,
-                  format("fault-plan descriptor: expected '%s=...', got '%s'",
-                         key, field.c_str()));
-  return field.substr(prefix.size());
-}
-
 int signed_delta(Rng& rng) {
   const int magnitude = rng.next_int(1, 3);
   return rng.next_coin() ? magnitude : -magnitude;
@@ -70,40 +62,20 @@ std::string FaultPlan::describe() const {
 }
 
 FaultPlan FaultPlan::parse(const std::string& descriptor) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t semi = descriptor.find(';', start);
-    fields.push_back(descriptor.substr(
-        start, semi == std::string::npos ? std::string::npos : semi - start));
-    if (semi == std::string::npos) {
-      break;
-    }
-    start = semi + 1;
-  }
-  SHLCP_CHECK_MSG(fields.size() == 7,
-                  format("fault-plan descriptor needs 7 ';'-fields, got %d: %s",
-                         static_cast<int>(fields.size()), descriptor.c_str()));
+  const DescriptorReader d(descriptor, 7, "fault-plan");
   FaultPlan plan;
-  plan.label = fields[0];
-  plan.seed = std::strtoull(expect_field(fields[1], "seed").c_str(), nullptr, 0);
-  plan.drop_permille =
-      static_cast<int>(std::strtol(expect_field(fields[2], "drop").c_str(),
-                                   nullptr, 10));
-  plan.duplicate_permille =
-      static_cast<int>(std::strtol(expect_field(fields[3], "dup").c_str(),
-                                   nullptr, 10));
-  plan.corrupt_permille =
-      static_cast<int>(std::strtol(expect_field(fields[4], "corrupt").c_str(),
-                                   nullptr, 10));
-  const std::string crash = expect_field(fields[5], "crash");
+  plan.label = d.label();
+  plan.seed = d.seed(1);
+  plan.drop_permille = d.integer(2, "drop");
+  plan.duplicate_permille = d.integer(3, "dup");
+  plan.corrupt_permille = d.integer(4, "corrupt");
+  const std::string crash = d.value(5, "crash");
   const std::size_t at = crash.find('@');
   SHLCP_CHECK_MSG(at != std::string::npos,
                   "fault-plan descriptor: crash field needs '@round'");
   plan.crash_nodes = parse_node_list(crash.substr(0, at));
-  plan.crash_round =
-      static_cast<int>(std::strtol(crash.c_str() + at + 1, nullptr, 10));
-  plan.byzantine_nodes = parse_node_list(expect_field(fields[6], "byz"));
+  plan.crash_round = d.to_int(crash.substr(at + 1));
+  plan.byzantine_nodes = parse_node_list(d.value(6, "byz"));
   return plan;
 }
 

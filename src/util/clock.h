@@ -1,7 +1,7 @@
 // The repo's one monotonic clock.
 //
 // Deadlines, TTLs, backoff timers and latency histograms all read the
-// steady clock through these two functions. The epoch is arbitrary;
+// steady clock through these functions. The epoch is arbitrary;
 // only differences mean anything. trace::now_ns() subtracts its own
 // per-process epoch from mono_ns() so trace timestamps start near 0.
 
@@ -19,6 +19,9 @@ inline std::uint64_t mono_ns() noexcept {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// Microseconds on the steady clock (mono_ns() truncated).
+inline std::uint64_t mono_us() noexcept { return mono_ns() / 1'000; }
 
 /// Milliseconds on the steady clock (mono_ns() truncated).
 inline std::uint64_t mono_ms() noexcept { return mono_ns() / 1'000'000; }

@@ -88,6 +88,11 @@ TEST(ChaosPlan, ParseRejectsMalformedDescriptors) {
            "calm;sed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@0ms",
            "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0",
            "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@5",
+           // Numbers must be consumed completely: none reads as 0 or 12.
+           "calm;seed=0x1;wchop=12x;rchop=0;corrupt=0;reset=0;delay=0@0ms",
+           "calm;seed=zz;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@0ms",
+           "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=x@0ms",
+           "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@ms",
        }) {
     EXPECT_THROW(ChaosPlan::parse(bad), CheckError) << bad;
   }

@@ -296,6 +296,53 @@ TEST_F(HttpGateway, HealthzAnswersTheHealthOp) {
   ::close(fd);
 }
 
+// GET /v1/<op> is served from the op table's info/health rows.
+TEST_F(HttpGateway, GetV1InfoAnswersTheInfoOp) {
+  const int fd = connect_fd();
+  send_all(fd, "GET /v1/info HTTP/1.1\r\n\r\n");
+  int status = 0;
+  std::string wire;
+  std::string headers;
+  std::string body;
+  ASSERT_TRUE(read_response(fd, &wire, &status, &headers, &body));
+  EXPECT_EQ(status, 200);
+  const Json resp = Json::parse(body);
+  ASSERT_TRUE(resp.at("ok").as_bool()) << body;
+  EXPECT_TRUE(resp.at("result").contains("ops")) << body;
+  ::close(fd);
+}
+
+TEST_F(HttpGateway, GetV1HealthAnswersTheHealthOp) {
+  const int fd = connect_fd();
+  send_all(fd, "GET /v1/health HTTP/1.1\r\n\r\n");
+  int status = 0;
+  std::string wire;
+  std::string headers;
+  std::string body;
+  ASSERT_TRUE(read_response(fd, &wire, &status, &headers, &body));
+  EXPECT_EQ(status, 200);
+  const Json resp = Json::parse(body);
+  ASSERT_TRUE(resp.at("ok").as_bool()) << body;
+  EXPECT_FALSE(resp.at("result").at("draining").as_bool());
+  EXPECT_FALSE(resp.at("result").contains("ops")) << "health, not info";
+  ::close(fd);
+}
+
+// Ops that take params are POST-only: a GET of one is a routing miss.
+TEST_F(HttpGateway, GetOfAnOpWithParamsIs404) {
+  const int fd = connect_fd();
+  send_all(fd, "GET /v1/run_decoder HTTP/1.1\r\n\r\n");
+  int status = 0;
+  std::string wire;
+  std::string headers;
+  std::string body;
+  ASSERT_TRUE(read_response(fd, &wire, &status, &headers, &body));
+  EXPECT_EQ(status, 404);
+  EXPECT_EQ(Json::parse(body).at("error").at("code").as_string(),
+            "unknown_op");
+  ::close(fd);
+}
+
 TEST_F(HttpGateway, KeepAliveReusesTheConnectionAndTheCache) {
   const int fd = connect_fd();
   const std::string post =

@@ -3,9 +3,10 @@
 // restart backoff schedule, transport-failure classification
 // (connection-refused vs timeout) on the resilient Client, quarantine
 // spill through the Router (keys move to replicas; nothing ever blocks
-// on a breaker-open backend), and the Supervisor's process management
-// against a real shlcpd when one is discoverable (spawn, SIGKILL,
-// poll-driven restart, warm disk cache, graceful stop).
+// on a breaker-open backend), ChildProcess's spawn/readiness/reap
+// contract, and the Supervisor's process management against a real
+// shlcpd when one is discoverable (spawn, SIGKILL, poll-driven restart,
+// warm disk cache, graceful stop).
 
 #include <signal.h>
 #include <sys/socket.h>
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "service/client.h"
+#include "service/process.h"
 #include "service/router.h"
 #include "service/server.h"
 #include "service/service.h"
@@ -358,6 +361,95 @@ TEST_F(QuarantineFleet, HealthReportsSupervisorRuntimeState) {
   EXPECT_EQ(b1.at("last_exit").as_int(), 137);
   EXPECT_FALSE(b1.contains("health"))
       << "a quarantined backend must not be probed by the fan-out";
+}
+
+// ---------------------------------------------------------------------
+// ChildProcess: spawn, readiness, exit status and reap.
+
+/// A fresh, empty directory under the gtest temp dir.
+std::string scratch_dir(const char* name) {
+  const fs::path dir = fs::path(::testing::TempDir()) / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir.string();
+}
+
+TEST(ChildProcess, EarlyExitIsReportedWellInsideTheBudget) {
+  const std::string dir = scratch_dir("shlcp_child_false");
+  ChildProcess child;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(child.spawn_ready({"/bin/false"}, dir + "/ports.json",
+                                 ChildStdio{}, 10'000));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(child.last_exit(), 1);
+  EXPECT_FALSE(child.running());
+}
+
+TEST(ChildProcess, MissingBinaryExits127) {
+  const std::string dir = scratch_dir("shlcp_child_missing");
+  ChildProcess child;
+  EXPECT_FALSE(child.spawn_ready({dir + "/no-such-binary"},
+                                 dir + "/ports.json", ChildStdio{}, 10'000));
+  EXPECT_EQ(child.last_exit(), 127);
+}
+
+TEST(ChildProcess, SigkillReads137) {
+  ChildProcess child;
+  ASSERT_TRUE(child.spawn({"/bin/sh", "-c", "exec sleep 30"}, ChildStdio{}));
+  EXPECT_TRUE(child.running());
+  EXPECT_FALSE(child.try_reap());
+  EXPECT_EQ(child.kill(), 137);
+  EXPECT_FALSE(child.running());
+  EXPECT_EQ(child.pid(), -1);
+}
+
+TEST(ChildProcess, StopDrainsALiveShlcpdToExitZero) {
+  const std::string shlcpd = Supervisor::find_shlcpd(nullptr);
+  if (shlcpd.empty()) {
+    GTEST_SKIP() << "no shlcpd binary discoverable";
+  }
+  const std::string dir = scratch_dir("shlcp_child_stop");
+  const std::string port_file = dir + "/ports.json";
+  ChildProcess child;
+  const std::optional<Json> ports =
+      child.spawn_ready({shlcpd, "--socket", dir + "/d.sock"}, port_file,
+                        ChildStdio{dir + "/d.log"}, 10'000);
+  ASSERT_TRUE(ports.has_value()) << "exit status " << child.last_exit();
+  EXPECT_EQ(ports->at("unix").as_string(), dir + "/d.sock");
+  EXPECT_TRUE(fs::exists(port_file));
+  EXPECT_EQ(child.stop(), 0);
+  EXPECT_FALSE(fs::exists(port_file)) << "a clean exit removes it";
+}
+
+// A SIGKILLed shlcpd leaves its port file behind. The next readiness
+// wait must not take it for the new child's, even when the address in
+// it answers: here a second daemon serves the old socket path, and the
+// new child never binds anything.
+TEST(ChildProcess, StalePortFileDoesNotSatisfyTheNextReadinessWait) {
+  const std::string shlcpd = Supervisor::find_shlcpd(nullptr);
+  if (shlcpd.empty()) {
+    GTEST_SKIP() << "no shlcpd binary discoverable";
+  }
+  const std::string dir = scratch_dir("shlcp_child_stale");
+  const std::string socket_path = dir + "/d.sock";
+  const std::string port_file = dir + "/ports.json";
+  ChildProcess first;
+  ASSERT_TRUE(first.spawn_ready({shlcpd, "--socket", socket_path}, port_file,
+                                ChildStdio{dir + "/d.log"}, 10'000));
+  EXPECT_EQ(first.kill(), 137);
+  ASSERT_TRUE(fs::exists(port_file)) << "SIGKILL skips shlcpd's cleanup";
+
+  ChildProcess squatter;
+  ASSERT_TRUE(squatter.spawn_ready({shlcpd, "--socket", socket_path},
+                                   dir + "/other.json",
+                                   ChildStdio{dir + "/d.log"}, 10'000));
+  ASSERT_TRUE(fs::exists(port_file));
+
+  ChildProcess second;
+  EXPECT_FALSE(second.spawn_ready({"/bin/sh", "-c", "exec sleep 30"},
+                                  port_file, ChildStdio{}, 300));
+  EXPECT_EQ(second.last_exit(), 137) << "killed at the end of its budget";
+  EXPECT_FALSE(fs::exists(port_file));
 }
 
 // ---------------------------------------------------------------------

@@ -252,6 +252,26 @@ TEST(ServiceErrors, ErrorCodeContract) {
   EXPECT_EQ(error_code(garbage), kErrInvalidRequest);
 }
 
+// A plan descriptor whose numbers do not parse completely is refused,
+// never replayed with the bad field read as 0.
+TEST(ServiceErrors, MalformedPlanDescriptorIsInvalidParams) {
+  Service service;
+  for (const char* plan : {
+           "x;seed=0x1;drop=abc;dup=0;corrupt=0;crash=-@0;byz=-",
+           "x;seed=0x1zz;drop=0;dup=0;corrupt=0;crash=-@0;byz=-",
+           "x;seed=0x1;drop=0;dup=0;corrupt=0;crash=-@2r;byz=-",
+       }) {
+    Json params = Json::object();
+    params["lcp"] = "degree-one";
+    params["instance"] = "path5";
+    params["labels"] = "honest";
+    params["plan"] = plan;
+    const Json response =
+        service.handle(make_request(1, "run_decoder", params));
+    EXPECT_EQ(error_code(response), kErrInvalidParams) << plan;
+  }
+}
+
 // Any client can send any op name. An unknown one must be refused
 // before a per-op metric is registered, or distinct bogus names would
 // grow the metric registry without bound.

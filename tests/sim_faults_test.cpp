@@ -50,6 +50,16 @@ TEST(FaultPlanTest, ParseRejectsMalformedDescriptors) {
   EXPECT_THROW(
       FaultPlan::parse("x;seed=1;drop=0;dup=0;corrupt=0;crash=-;byz=-"),
       CheckError);  // crash field missing '@round'
+  // Numbers must be consumed completely: none of these reads as 0.
+  for (const char* bad : {
+           "x;seed=0x1;drop=abc;dup=0;corrupt=0;crash=-@0;byz=-",
+           "x;seed=0x1;drop=;dup=0;corrupt=0;crash=-@0;byz=-",
+           "x;seed=0x1g;drop=0;dup=0;corrupt=0;crash=-@0;byz=-",
+           "x;seed=0x1;drop=0;dup=5%;corrupt=0;crash=-@0;byz=-",
+           "x;seed=0x1;drop=0;dup=0;corrupt=0;crash=1@;byz=-",
+       }) {
+    EXPECT_THROW(FaultPlan::parse(bad), CheckError) << bad;
+  }
 }
 
 TEST(FaultPlanTest, EnabledDetectsEveryFaultClass) {
