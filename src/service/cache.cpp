@@ -64,7 +64,7 @@ std::string artifact_key(std::string_view op, const Json& params) {
   payload.push_back('\n');
   payload.append(op);
   payload.push_back('\n');
-  payload.append(canonical_dump(params));
+  payload.append(params.canonical_dump());
   return payload;
 }
 

@@ -15,9 +15,12 @@
 // same entry. The schema prefix makes keys self-invalidating: any wire
 // format change bumps the schema string and orphans old entries.
 //
-// Storage: values are the *dumped* result strings (not Json trees), so
-// a hit is returned byte-identical to the miss that populated it --
-// bench_service verifies cached == direct bit-for-bit. In-memory the
+// Storage: values are the *dumped* result strings (not Json trees), and
+// the service splices a hit's bytes into its response unparsed
+// (ok_response_text), so a hit is returned byte-identical to the miss
+// that populated it -- bench_service verifies cached == direct
+// bit-for-bit. A disk entry is returned only after its digest matches,
+// so a torn or rotted file is never spliced into a response. In-memory the
 // cache is a classic LRU (intrusive list + map) under a byte budget;
 // inserting a value larger than the whole budget is accepted and simply
 // evicts everything else.

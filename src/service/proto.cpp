@@ -83,33 +83,7 @@ FrameReader::Next FrameReader::next(std::string* frame, std::string* error) {
   return Next::kFrame;
 }
 
-Json canonical_json(const Json& j) {
-  switch (j.type()) {
-    case Json::Type::kArray: {
-      Json out = Json::array();
-      for (const Json& item : j.items()) {
-        out.push_back(canonical_json(item));
-      }
-      return out;
-    }
-    case Json::Type::kObject: {
-      std::vector<std::pair<std::string, Json>> members = j.members();
-      std::stable_sort(members.begin(), members.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first < b.first;
-                       });
-      Json out = Json::object();
-      for (auto& [key, value] : members) {
-        out[key] = canonical_json(value);
-      }
-      return out;
-    }
-    default:
-      return j;
-  }
-}
-
-std::string canonical_dump(const Json& j) { return canonical_json(j).dump(); }
+std::string canonical_dump(const Json& j) { return j.canonical_dump(); }
 
 Json graph_to_json(const Graph& g) {
   Json j = Json::object();
@@ -262,8 +236,10 @@ Request parse_request(const Json& j) {
   return req;
 }
 
-Json ok_response(const Json& id, Json result, bool cached,
-                 std::string_view digest) {
+namespace {
+
+/// Every member of an ok response but "result", which comes last.
+Json ok_envelope(const Json& id, bool cached, std::string_view digest) {
   Json r = Json::object();
   r["schema"] = kWireSchema;
   r["id"] = id;
@@ -272,8 +248,26 @@ Json ok_response(const Json& id, Json result, bool cached,
   if (!digest.empty()) {
     r["digest"] = digest;
   }
+  return r;
+}
+
+}  // namespace
+
+Json ok_response(const Json& id, Json result, bool cached,
+                 std::string_view digest) {
+  Json r = ok_envelope(id, cached, digest);
   r["result"] = std::move(result);
   return r;
+}
+
+std::string ok_response_text(const Json& id, std::string_view result,
+                             bool cached, std::string_view digest) {
+  std::string out = ok_envelope(id, cached, digest).dump();
+  out.pop_back();  // the envelope's closing '}'
+  out += ",\"result\":";
+  out += result;
+  out.push_back('}');
+  return out;
 }
 
 Json error_response(const Json& id, std::string_view code,

@@ -56,10 +56,12 @@
 // construction. session_id_error() is the single validator.
 //
 // This header also hosts the canonical JSON form used for cache keying
-// (object keys sorted recursively, compact dump) and the codecs between
-// the library's value types (Graph, Instance, Labeling) and their wire
-// JSON, so the dispatcher, the cache, the load generator, and the bench
-// all agree byte-for-byte on what a request means.
+// (object keys sorted recursively, compact dump), the response writer
+// that splices stored result bytes into an ok envelope without
+// re-parsing them, and the codecs between the library's value types
+// (Graph, Instance, Labeling) and their wire JSON, so the dispatcher,
+// the cache, the load generator, and the bench all agree byte-for-byte
+// on what a request means.
 
 #pragma once
 
@@ -113,13 +115,9 @@ class FrameReader {
   std::string fail_message_;
 };
 
-/// Canonical form for cache keying: object keys sorted recursively
-/// (arrays keep their order -- element order is semantic). Values are
-/// untouched.
-Json canonical_json(const Json& j);
-
-/// canonical_json + compact dump: the canonicalized request payload the
-/// artifact cache hashes.
+/// The canonicalized request payload the artifact cache keys on:
+/// Json::canonical_dump, i.e. object keys sorted recursively (arrays
+/// keep their order -- element order is semantic), compact dump.
 std::string canonical_dump(const Json& j);
 
 /// Graph <-> {"n": int, "edges": [[u, v], ...]} (edges sorted, as
@@ -158,6 +156,12 @@ Request parse_request(const Json& j);
 /// `retry_after_ms` >= 0 adds the backpressure hint to the error object.
 Json ok_response(const Json& id, Json result, bool cached,
                  std::string_view digest = "");
+/// ok_response(id, Json::parse(result), cached, digest).dump(), without
+/// the parse: `result` is spliced in verbatim, so it must be a compact
+/// Json::dump. This is how the service answers, hit or miss -- the
+/// result bytes it stores are the bytes it sends.
+std::string ok_response_text(const Json& id, std::string_view result,
+                             bool cached, std::string_view digest);
 Json error_response(const Json& id, std::string_view code,
                     std::string_view message, std::string_view repro = "",
                     std::int64_t retry_after_ms = -1);

@@ -182,7 +182,7 @@ Router::Router(RouterOptions options)
 
 Router::~Router() = default;
 
-Json Router::serve(Admitted& request) {
+std::string Router::serve(Admitted& request) {
   switch (request.op.route) {
     case OpRoute::kFanOutInfo:
       return aggregate_info(request.req);
@@ -290,7 +290,7 @@ bool Router::forward(Backend& b, const Request& req, CallResult* out) {
   return false;
 }
 
-Json Router::route(const Request& req, const std::string& key) {
+std::string Router::route(const Request& req, const std::string& key) {
   const std::vector<int> pref = ring_.preference(HashRing::point_of(key));
   const int max_tries =
       std::max(1, std::min(options_.replica_attempts,
@@ -339,7 +339,7 @@ Json Router::route(const Request& req, const std::string& key) {
       Json response = last.response;
       response["id"] = req.id;  // restore the caller's id; result bytes
                                 // and digest pass through untouched
-      return response;
+      return response.dump();
     }
     b.rerouted.fetch_add(1, std::memory_order_relaxed);
     metrics::counter("router.reroutes").inc();
@@ -356,7 +356,7 @@ Json Router::route(const Request& req, const std::string& key) {
                 "", 50);
 }
 
-Json Router::aggregate_info(const Request& req) {
+std::string Router::aggregate_info(const Request& req) {
   std::vector<Json> results;
   for (const auto& backend : backends_) {
     if (backend->quarantined.load(std::memory_order_relaxed)) {
@@ -407,10 +407,11 @@ Json Router::aggregate_info(const Request& req) {
   Json& router = (result["router"] = Json::object());
   router["backends"] = static_cast<std::uint64_t>(backends_.size());
   router["reachable"] = static_cast<std::uint64_t>(results.size());
-  return ok_response(req.id, std::move(result), /*cached=*/false, "");
+  return ok_response(req.id, std::move(result), /*cached=*/false, "")
+      .dump();
 }
 
-Json Router::aggregate_health(const Request& req) {
+std::string Router::aggregate_health(const Request& req) {
   Json result = Json::object();
   result["schema"] = kWireSchema;
   result["draining"] = draining();
@@ -443,7 +444,8 @@ Json Router::aggregate_health(const Request& req) {
     entry["pid"] = b.pid.load(std::memory_order_relaxed);
     fleet.push_back(std::move(entry));
   }
-  return ok_response(req.id, std::move(result), /*cached=*/false, "");
+  return ok_response(req.id, std::move(result), /*cached=*/false, "")
+      .dump();
 }
 
 int Router::probe_all() {

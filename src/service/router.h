@@ -207,11 +207,11 @@ class Router : public Dispatcher {
   std::optional<Json> call_backend(Backend& b, const std::string& op,
                                    const Json& params,
                                    std::uint64_t deadline_ms = 0);
-  Json serve(Admitted& request) override;
+  std::string serve(Admitted& request) override;
   /// Forwards `req` along the ring preference order of `key`.
-  Json route(const Request& req, const std::string& key);
-  Json aggregate_info(const Request& req);
-  Json aggregate_health(const Request& req);
+  std::string route(const Request& req, const std::string& key);
+  std::string aggregate_info(const Request& req);
+  std::string aggregate_health(const Request& req);
 
   RouterOptions options_;
   HashRing ring_;

@@ -161,11 +161,12 @@ Dispatcher::Dispatcher(std::string name)
       errors_(metrics::counter(name_ + ".errors")),
       integrity_rejects_(metrics::counter(name_ + ".integrity_rejects")) {}
 
-Json Dispatcher::refuse(const Json& id, std::string_view code,
-                        std::string_view message, std::string_view repro,
-                        std::int64_t retry_after_ms) {
+std::string Dispatcher::refuse(const Json& id, std::string_view code,
+                               std::string_view message,
+                               std::string_view repro,
+                               std::int64_t retry_after_ms) {
   errors_.inc();
-  return error_response(id, code, message, repro, retry_after_ms);
+  return error_response(id, code, message, repro, retry_after_ms).dump();
 }
 
 std::string Dispatcher::handle_text(const std::string& body,
@@ -175,13 +176,18 @@ std::string Dispatcher::handle_text(const std::string& body,
   try {
     request = Json::parse(body);
   } catch (const CheckError& e) {
-    return refuse(Json(), kErrInvalidRequest, e.what()).dump();
+    return refuse(Json(), kErrInvalidRequest, e.what());
   }
-  return handle(request, elapsed_ms, conn).dump();
+  return respond(request, elapsed_ms, conn);
 }
 
 Json Dispatcher::handle(const Json& request, std::uint64_t elapsed_ms,
                         std::int64_t conn) {
+  return Json::parse(respond(request, elapsed_ms, conn));
+}
+
+std::string Dispatcher::respond(const Json& request, std::uint64_t elapsed_ms,
+                                std::int64_t conn) {
   requests_.inc();
   const Json id = request.is_object() && request.contains("id")
                       ? request.at("id")
@@ -278,31 +284,29 @@ Service::Service(ServiceConfig config)
 
 Service::~Service() = default;
 
-Json Service::serve(Admitted& request) {
+std::string Service::serve(Admitted& request) {
   const OpMetrics& m = op_metrics(request.op);
   m.requests->inc();
   const metrics::ScopedTimerNs timer(*m.latency);
   trace::Span span("service.request");
 
-  // Cache probe: cacheable ops replay the stored result bytes. The
-  // session ops are stateful (each call advances a live session), so
-  // they are never cached.
+  // Cache probe: cacheable ops splice the stored result bytes into the
+  // response verbatim. The session ops are stateful (each call advances
+  // a live session), so they are never cached.
   if (request.op.cacheable) {
     if (std::optional<std::string> cached = cache_.get(request.key())) {
-      return ok_response(request.req.id, Json::parse(*cached),
-                         /*cached=*/true, fnv1a_hex(*cached));
+      return ok_response_text(request.req.id, *cached, /*cached=*/true,
+                              fnv1a_hex(*cached));
     }
   }
 
   try {
-    Json result = (this->*request.op.run)(request);
-    std::string dumped = result.dump();
-    std::string digest = fnv1a_hex(dumped);
+    const std::string dumped = (this->*request.op.run)(request).dump();
     if (request.op.cacheable) {
       cache_.insert(request.key(), dumped);
     }
-    return ok_response(request.req.id, std::move(result), /*cached=*/false,
-                       digest);
+    return ok_response_text(request.req.id, dumped, /*cached=*/false,
+                            fnv1a_hex(dumped));
   } catch (const ServiceError& e) {
     return refuse(request.req.id, e.code, e.message, e.repro,
                   e.retry_after_ms);

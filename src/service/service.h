@@ -49,12 +49,14 @@
 // row names an op, says whether its result is cached, how the router
 // places it on the ring, and which Service member answers it. Cacheable
 // ops (run_decoder, check_coloring, search_witness, build_nbhd) store
-// the *dumped* result string under artifact_key(op, params), so a hit
-// replays the original bytes; info, health and the stateful session ops
-// are never cached. Every admitted op bumps service.<op>.requests and
-// records into the service.<op>.latency_ns histogram (both bound once
-// per row); errors bump service.errors. An op that is not in the table
-// is refused with "unknown_op" before any per-op metric is touched.
+// the *dumped* result string under artifact_key(op, params), and a hit
+// splices those bytes into the response verbatim (ok_response_text) --
+// no parse, no re-dump, and a miss sends the very string it stores;
+// info, health and the stateful session ops are never cached. Every
+// admitted op bumps service.<op>.requests and records into the
+// service.<op>.latency_ns histogram (both bound once per row); errors
+// bump service.errors. An op that is not in the table is refused with
+// "unknown_op" before any per-op metric is touched.
 //
 // Resilience (DESIGN.md §14): a request's optional "check" digest is
 // recomputed from the parsed params and a mismatch is refused with
@@ -229,7 +231,8 @@ class Dispatcher {
                           std::uint64_t elapsed_ms = 0,
                           std::int64_t conn = -1);
 
-  /// Same, on an already-parsed document.
+  /// Same, on an already-parsed document, answered as a parsed
+  /// document: Json::parse of the response text (in-process callers).
   Json handle(const Json& request, std::uint64_t elapsed_ms = 0,
               std::int64_t conn = -1);
 
@@ -255,18 +258,23 @@ class Dispatcher {
   /// dispatcher in the "draining" refusal.
   explicit Dispatcher(std::string name);
 
-  /// Answers one admitted request.
-  virtual Json serve(Admitted& request) = 0;
+  /// Answers one admitted request with the response text.
+  virtual std::string serve(Admitted& request) = 0;
 
-  /// An error response; bumps <name>.errors.
-  Json refuse(const Json& id, std::string_view code, std::string_view message,
-              std::string_view repro = "", std::int64_t retry_after_ms = -1);
+  /// An error response's text; bumps <name>.errors.
+  std::string refuse(const Json& id, std::string_view code,
+                     std::string_view message, std::string_view repro = "",
+                     std::int64_t retry_after_ms = -1);
 
   /// The `health` op's "queue" member: the attached HealthState's
   /// counters, zeros without one.
   [[nodiscard]] Json queue_health() const;
 
  private:
+  /// Admits a parsed request and serves it: the response text.
+  std::string respond(const Json& request, std::uint64_t elapsed_ms,
+                      std::int64_t conn);
+
   std::string name_;
   metrics::Counter& requests_;
   metrics::Counter& errors_;
@@ -297,7 +305,7 @@ class Service : public Dispatcher {
  private:
   friend std::span<const OpSpec> op_table();
 
-  Json serve(Admitted& request) override;
+  std::string serve(Admitted& request) override;
   // The op table's handlers. build_nbhd stops at the next frame
   // boundary past the request's remaining deadline budget.
   Json op_run_decoder(const Admitted& request);

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -191,7 +192,9 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       out += std::to_string(uint_);
       break;
     case Type::kDouble: {
-      if (std::isfinite(double_)) {
+      if (double_ == 0.0 && std::signbit(double_)) {
+        out += "-0.0";  // "-0" would parse back as the integer 0
+      } else if (std::isfinite(double_)) {
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%.17g", double_);
         out += buf;
@@ -248,9 +251,55 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
+void Json::canonical_dump_to(std::string& out) const {
+  switch (type_) {
+    case Type::kArray:
+      out.push_back('[');
+      for (std::size_t i = 0; i < array_.size(); ++i) {
+        if (i > 0) {
+          out.push_back(',');
+        }
+        array_[i].canonical_dump_to(out);
+      }
+      out.push_back(']');
+      break;
+    case Type::kObject: {
+      // Sort pointers to the members, not the members: nothing is copied.
+      std::vector<const std::pair<std::string, Json>*> order;
+      order.reserve(object_.size());
+      for (const auto& member : object_) {
+        order.push_back(&member);
+      }
+      std::stable_sort(order.begin(), order.end(),
+                       [](const auto* a, const auto* b) {
+                         return a->first < b->first;
+                       });
+      out.push_back('{');
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        if (i > 0) {
+          out.push_back(',');
+        }
+        append_escaped(out, order[i]->first);
+        out.push_back(':');
+        order[i]->second.canonical_dump_to(out);
+      }
+      out.push_back('}');
+      break;
+    }
+    default:
+      dump_to(out, -1, 0);
+  }
+}
+
+std::string Json::canonical_dump() const {
+  std::string out;
+  canonical_dump_to(out);
+  return out;
+}
+
 namespace {
 
-/// Nesting cap for parse. The parser, canonical_json, dump, and the
+/// Nesting cap for parse. The parser, canonical_dump, dump, and the
 /// Json destructor all recurse once per container level, so untrusted
 /// input (service frames arrive straight from the wire) must not be
 /// able to choose the recursion depth: a few MiB of '[' would
@@ -456,25 +505,45 @@ class Parser {
     }
   }
 
+  /// Consumes a run of decimal digits; returns how many.
+  std::size_t digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ - from;
+  }
+
+  /// RFC 8259 numbers only: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  /// Integers stay exact (int64 when negative, else uint64).
   Json parse_number() {
     const std::size_t start = pos_;
+    const auto require = [&](bool ok) {
+      SHLCP_CHECK_MSG(ok, format("Json::parse: bad number at offset %zu",
+                                 start));
+    };
     if (peek() == '-') {
       ++pos_;
     }
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = digits();
+    // "0" is the only integer part that may start with a zero.
+    require(int_digits == 1 || (int_digits > 1 && text_[int_start] != '0'));
     bool is_double = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      is_double = true;
+      require(digits() > 0);
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      is_double = true;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
         ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
       }
+      require(digits() > 0);
     }
     const std::string token(text_.substr(start, pos_ - start));
-    SHLCP_CHECK_MSG(!token.empty() && token != "-", "Json::parse: bad number");
     if (is_double) {
       return Json(std::strtod(token.c_str(), nullptr));
     }

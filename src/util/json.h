@@ -7,8 +7,11 @@
 // deliberately small value type here: ordered objects, arrays, strings,
 // integers (signed and unsigned kept exact -- counters are uint64 and
 // must survive a dump/parse round trip bit-for-bit), doubles, booleans,
-// null. Parsing accepts exactly the JSON this library dumps plus
-// ordinary whitespace; it is not a general-purpose validator.
+// null. Parsing accepts the JSON this library dumps plus ordinary
+// whitespace, and numbers only in the RFC 8259 grammar; it is not a
+// general-purpose validator. parse(s).dump() == s for every compact s
+// that dump() emits, which is what lets the service splice stored result
+// bytes into a response in place of re-serializing them.
 
 #pragma once
 
@@ -77,6 +80,13 @@ class Json {
   /// indent >= 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = -1) const;
 
+  /// The compact dump with every object's members in ascending key
+  /// order, recursively (arrays keep their order). Equal to dumping a
+  /// copy whose members were stably sorted, without building the copy:
+  /// the service keys its cache, its integrity check and its ring on
+  /// this string.
+  std::string canonical_dump() const;
+
   /// Parses `text`; throws shlcp::CheckError on malformed input,
   /// trailing garbage, or containers nested deeper than 256 levels
   /// (the cap keeps recursion bounded on untrusted wire input).
@@ -84,6 +94,7 @@ class Json {
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;
+  void canonical_dump_to(std::string& out) const;
 
   Type type_;
   bool bool_ = false;

@@ -1,13 +1,18 @@
 // Wire-protocol tests for the certification service (service/proto.h),
 // plus the util/json parse edge cases the protocol's correctness leans
-// on: the cache replays *stored dump strings*, so parse(dump(x)) must be
-// a byte-exact round trip across everything a result can contain
-// (integer boundaries, odd strings, nested containers), and the framing
-// layer must survive arbitrary byte splits and reject malformed input
-// with an error response rather than a crash.
+// on: the service splices *stored dump strings* into its responses, so
+// parse(dump(x)) must be a byte-exact round trip across everything a
+// result can contain (integer boundaries, odd strings, nested
+// containers), and the framing layer must survive arbitrary byte splits
+// and reject malformed input with an error response rather than a crash.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +21,7 @@
 #include "service/proto.h"
 #include "util/check.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace shlcp::svc {
 namespace {
@@ -89,12 +95,44 @@ TEST(JsonEdgeCases, Uint64BoundaryRoundTrips) {
   EXPECT_EQ(Json(top).dump(), "18446744073709551615");
 }
 
+// Numbers follow RFC 8259 exactly: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+// Anything else is refused rather than read as a prefix or as 0.
+TEST(JsonEdgeCases, MalformedThrows) {
+  for (const char* text :
+       {"+", ".", "e", "E", "-", "--1", "-e", "+1", "1.2.3", "1-2", "1+2",
+        "[+,-.]", "{\"k\":.}", "01", "-01", "00", "1.", ".5", "-.5", "1e",
+        "1e+", "1E-", "1.e5", "0x10", "1ee5", "[1.]", "{\"k\":01}"}) {
+    EXPECT_THROW(Json::parse(text), CheckError) << text;
+  }
+}
+
+TEST(JsonEdgeCases, RfcNumbersParse) {
+  EXPECT_EQ(Json::parse("0").as_uint(), 0u);
+  EXPECT_EQ(Json::parse("-0").as_int(), 0);
+  EXPECT_EQ(Json::parse("10").as_uint(), 10u);
+  EXPECT_EQ(Json::parse("-7").as_int(), -7);
+  EXPECT_DOUBLE_EQ(Json::parse("0.5").as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(Json::parse("-0.25").as_double(), -0.25);
+  EXPECT_DOUBLE_EQ(Json::parse("1e3").as_double(), 1000.0);
+  EXPECT_DOUBLE_EQ(Json::parse("1E+3").as_double(), 1000.0);
+  EXPECT_DOUBLE_EQ(Json::parse("-1.5e-3").as_double(), -0.0015);
+  EXPECT_EQ(Json::parse("[0,-1,2.5e1]").dump(), "[0,-1,25]");
+}
+
+// A negative zero double dumps as "-0.0": "-0" would parse back as the
+// integer 0 and break parse(dump(x)) == x.
+TEST(JsonEdgeCases, NegativeZeroRoundTrips) {
+  EXPECT_EQ(Json(-0.0).dump(), "-0.0");
+  EXPECT_EQ(Json::parse(Json(-0.0).dump()).dump(), "-0.0");
+  EXPECT_EQ(Json(0.0).dump(), "0");
+}
+
 TEST(JsonEdgeCases, IntegerOverflowThrows) {
   EXPECT_THROW(Json::parse("18446744073709551616"), CheckError);
   EXPECT_THROW(Json::parse("-9223372036854775809"), CheckError);
 }
 
-// The parser (and everything downstream of it: canonical_json, dump,
+// The parser (and everything downstream of it: canonical_dump, dump,
 // the Json destructor) recurses per container level, so nesting depth
 // must be capped -- otherwise one frame of a few MiB of '[' (well under
 // the 4 MiB frame cap) overflows the stack and kills the daemon.
@@ -266,6 +304,161 @@ TEST(Canonical, ArrayOrderIsSemantic) {
 TEST(Canonical, KeysSortedInsideArrays) {
   const Json a = Json::parse(R"([{"b": 1, "a": 2}])");
   EXPECT_EQ(canonical_dump(a), R"([{"a":2,"b":1}])");
+}
+
+// ---------------------------------------------------------------------
+// Property test of the writers the service answers with: canonical_dump
+// (cache key, integrity check, ring key) and ok_response_text (every ok
+// response), on random documents from a fixed seed and budget.
+
+// The reference canonical form: a copy whose members are stably sorted,
+// recursively, then dumped. Kept here only, as the oracle.
+Json sorted_copy(const Json& j) {
+  if (j.is_array()) {
+    Json out = Json::array();
+    for (const Json& item : j.items()) {
+      out.push_back(sorted_copy(item));
+    }
+    return out;
+  }
+  if (!j.is_object()) {
+    return j;
+  }
+  std::vector<std::pair<std::string, Json>> members = j.members();
+  std::stable_sort(members.begin(), members.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  Json out = Json::object();
+  for (const auto& [key, value] : members) {
+    out[key] = sorted_copy(value);
+  }
+  return out;
+}
+
+// The same document with every object's members in a random order.
+Json shuffled(const Json& j, Rng& rng) {
+  if (j.is_array()) {
+    Json out = Json::array();
+    for (const Json& item : j.items()) {
+      out.push_back(shuffled(item, rng));
+    }
+    return out;
+  }
+  if (!j.is_object()) {
+    return j;
+  }
+  std::vector<std::pair<std::string, Json>> members = j.members();
+  rng.shuffle(members);
+  Json out = Json::object();
+  for (const auto& [key, value] : members) {
+    out[key] = shuffled(value, rng);
+  }
+  return out;
+}
+
+// Quotes, backslashes, control bytes, DEL and non-UTF-8 bytes.
+std::string random_string(Rng& rng) {
+  static constexpr char kBytes[] = {'a',    'b',    '"',    '\\', '/',
+                                    '\n',   '\t',   '\r',   '\x01', '\x1f',
+                                    '\x7f', '\x80', '\xc3', '\xff', ' '};
+  std::string out;
+  const int len = rng.next_int(0, 8);
+  for (int i = 0; i < len; ++i) {
+    out.push_back(rng.next_coin()
+                      ? kBytes[rng.next_below(sizeof(kBytes))]
+                      : static_cast<char>(rng.next_below(256)));
+  }
+  return out;
+}
+
+// Keys that share prefixes, so the sort compares past the first byte.
+std::string random_key(Rng& rng) {
+  static constexpr const char* kStems[] = {"", "a", "ab", "abc", "a\"",
+                                           "A", "\xff", "a\x01", "b"};
+  std::string key = kStems[rng.next_below(std::size(kStems))];
+  if (rng.next_coin()) {
+    key += random_string(rng);
+  }
+  return key;
+}
+
+Json random_scalar(Rng& rng) {
+  switch (rng.next_below(12)) {
+    case 0:
+      return Json();
+    case 1:
+      return Json(rng.next_coin());
+    case 2:
+      return Json(std::numeric_limits<std::int64_t>::min());
+    case 3:
+      return Json(std::numeric_limits<std::int64_t>::max());
+    case 4:
+      return Json(std::numeric_limits<std::uint64_t>::max());
+    case 5:
+      return Json(static_cast<std::uint64_t>(
+                      std::numeric_limits<std::int64_t>::max()) +
+                  1);
+    case 6:
+      return Json(static_cast<std::int64_t>(rng.next_u64()));
+    case 7: {
+      static constexpr double kDoubles[] = {
+          0.0, -0.0, 0.5, -0.1, 1e300, -1e-300, 5e-324, 1e17, 12345678.0,
+          std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()};
+      return Json(kDoubles[rng.next_below(std::size(kDoubles))]);
+    }
+    case 8: {  // any bit pattern: subnormals, NaNs, infinities included
+      const std::uint64_t bits = rng.next_u64();
+      double d = 0;
+      std::memcpy(&d, &bits, sizeof(d));
+      return Json(d);
+    }
+    default:
+      return Json(random_string(rng));
+  }
+}
+
+Json random_document(Rng& rng, int depth) {
+  const std::uint64_t kind = depth >= 4 ? 0 : rng.next_below(3);
+  if (kind == 0) {
+    return random_scalar(rng);
+  }
+  const int size = rng.next_int(0, 5);  // empty containers included
+  if (kind == 1) {
+    Json arr = Json::array();
+    for (int i = 0; i < size; ++i) {
+      arr.push_back(random_document(rng, depth + 1));
+    }
+    return arr;
+  }
+  Json obj = Json::object();
+  for (int i = 0; i < size; ++i) {
+    obj[random_key(rng)] = random_document(rng, depth + 1);
+  }
+  return obj;
+}
+
+TEST(Writers, RandomDocumentsKeepEveryWriterProperty) {
+  Rng rng(0x5EED0F15ULL);
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::uint64_t replay = rng.state();
+    const Json doc = random_document(rng, 0);
+    const std::string dumped = doc.dump();
+    const std::string canonical = doc.canonical_dump();
+    SCOPED_TRACE(testing::Message() << "iteration " << iter << ", Rng state "
+                                    << replay << ", document " << dumped);
+
+    EXPECT_EQ(canonical, sorted_copy(doc).dump());
+    EXPECT_EQ(shuffled(doc, rng).canonical_dump(), canonical);
+    EXPECT_EQ(Json::parse(dumped).dump(), dumped);
+
+    const Json id = random_scalar(rng);
+    const bool cached = rng.next_coin();
+    const std::string digest = rng.next_coin() ? "" : "fnv:0123456789abcdef";
+    EXPECT_EQ(ok_response_text(id, dumped, cached, digest),
+              ok_response(id, doc, cached, digest).dump());
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -399,6 +399,134 @@ TEST(ServiceCache, CachedReplayIsBitIdentical) {
   EXPECT_GE(service.cache_stats().hits, 1u);
 }
 
+// One request of each cacheable op, cheap enough to compute in a test.
+std::vector<Json> cacheable_requests() {
+  Json run = Json::object();
+  run["lcp"] = "degree-one";
+  run["instance"] = "path5";
+  run["labels"] = "honest";
+  Json coloring = Json::object();
+  coloring["instance"] = "cycle5";
+  coloring["k"] = 3;
+  Json witness = Json::object();
+  witness["family"] = "degree-one";
+  witness["max_n"] = 4;
+  Json nbhd = Json::object();
+  nbhd["lcp"] = "degree-one";
+  nbhd["graphs"] = Json::array();
+  nbhd["graphs"].push_back("path:4");
+  nbhd["build"] = "proved";
+  return {make_request(1, "run_decoder", run),
+          make_request(2, "check_coloring", coloring),
+          make_request(3, "search_witness", witness),
+          make_request(4, "build_nbhd", nbhd)};
+}
+
+// A miss's response text as a hit must send it: only "cached" differs.
+std::string as_cached(std::string miss) {
+  const std::string uncached = "\"cached\":false";
+  const std::size_t at = miss.find(uncached);
+  EXPECT_NE(at, std::string::npos) << miss;
+  if (at != std::string::npos) {
+    miss.replace(at, uncached.size(), "\"cached\":true");
+  }
+  return miss;
+}
+
+// A hit splices the stored result bytes into the response. For every
+// cacheable op, the miss, the memory hit and the disk hit (a fresh
+// Service on the same directory) must send the same text but "cached".
+TEST(ServiceCache, MissMemoryHitAndDiskHitAreByteIdentical) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "shlcp_cache_bytes";
+  fs::remove_all(dir);
+  ServiceConfig config;
+  config.cache.directory = dir.string();
+  Service warm(config);
+  for (const Json& request : cacheable_requests()) {
+    const std::string body = request.dump();
+    SCOPED_TRACE(body);
+    const std::string miss = warm.handle_text(body);
+    EXPECT_TRUE(Json::parse(miss).at("ok").as_bool()) << miss;
+    const std::string hit = warm.handle_text(body);
+    Service cold(config);
+    const std::string disk_hit = cold.handle_text(body);
+    EXPECT_EQ(cold.cache_stats().disk_hits, 1u);
+
+    EXPECT_EQ(hit, as_cached(miss));
+    EXPECT_EQ(disk_hit, as_cached(miss));
+    EXPECT_EQ(warm.handle(request).dump(),
+              Json::parse(warm.handle_text(body)).dump());
+  }
+  EXPECT_EQ(warm.cache_stats().misses, 4u);
+  EXPECT_EQ(warm.cache_stats().hits, 3u * 4u);
+}
+
+// handle_text runs concurrently across the server's WorkerPool. Four
+// threads over shared keys, with a cache small enough to evict, must
+// each get exactly the bytes a single-threaded Service sends.
+TEST(ServiceCache, ConcurrentHitsAndMissesAreByteIdentical) {
+  std::vector<std::string> bodies;
+  for (const char* instance : {"path5", "path6", "star5", "cycle5", "cycle6",
+                               "grid23"}) {
+    for (const int k : {2, 3}) {
+      Json params = Json::object();
+      params["instance"] = instance;
+      params["k"] = k;
+      bodies.push_back(
+          make_request(static_cast<std::int64_t>(bodies.size()),
+                       "check_coloring", params)
+              .dump());
+    }
+    Json params = Json::object();
+    params["lcp"] = "degree-one";
+    params["instance"] = instance;
+    params["labels"] = "honest";
+    bodies.push_back(make_request(static_cast<std::int64_t>(bodies.size()),
+                                  "run_decoder", params)
+                         .dump());
+  }
+  std::vector<std::string> oracle;
+  {
+    Service reference;
+    for (const std::string& body : bodies) {
+      oracle.push_back(reference.handle_text(body));
+    }
+  }
+
+  ServiceConfig config;
+  config.cache.max_bytes = 2048;
+  Service service(config);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 40;
+  std::vector<std::vector<std::string>> wrong(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < bodies.size(); ++i) {
+          // Each thread walks the keys from its own offset.
+          const std::size_t k = (i + static_cast<std::size_t>(t) * 5) %
+                                bodies.size();
+          const std::string reply = service.handle_text(bodies[k]);
+          if (reply != oracle[k] && reply != as_cached(oracle[k])) {
+            wrong[static_cast<std::size_t>(t)].push_back(reply);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const std::vector<std::string>& replies : wrong) {
+    EXPECT_TRUE(replies.empty()) << replies.size() << " wrong replies, first "
+                                 << (replies.empty() ? "" : replies.front());
+  }
+  const CacheStats stats = service.cache_stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+}
+
 TEST(ServiceCache, LruEvictionUnderByteBudget) {
   CacheConfig config;
   config.max_bytes = 64;
