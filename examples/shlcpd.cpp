@@ -10,11 +10,17 @@
 //   shlcpd --tcp 127.0.0.1:7400          # fleet backend (JSONL framing)
 //   shlcpd --http 0.0.0.0:7480           # curl-able gateway
 //
-// The stream transports combine freely (--socket + --tcp + --http is
-// one process, one Service, one artifact cache behind all three);
-// --pipe is exclusive. Port 0 binds an ephemeral port; pass
-// --port-file to have the bound endpoints published as JSON once every
-// listener is up -- that is how bench_fleet and scripts discover them.
+// Every transport is served by one poll loop on the main thread. The
+// listeners combine freely (--socket + --tcp + --http is one process,
+// one Service, one artifact cache, one admission queue behind all
+// three); --pipe is exclusive. Every listener is bound before any is
+// served: if one cannot bind, shlcpd exits 1 at once. Once all are
+// listening it logs one "serving" line each (with the bound port; port
+// 0 binds an ephemeral one) and, with --port-file, publishes the bound
+// endpoints as JSON -- that is how bench_fleet and scripts discover
+// them. A client that half-closes its connection still gets every
+// reply it is owed; --pipe exits 0 after answering everything sent
+// before stdin's EOF, and 1 if stdout's reader goes away.
 //
 // SIGINT drains: in-flight requests finish, queued and later requests
 // get the "draining" error, then the process exits 0. Options:
@@ -58,7 +64,6 @@ int main(int argc, char** argv) {
   using shlcp::svc::ServerOptions;
   using shlcp::svc::TransportSpec;
 
-  bool pipe_mode = false;
   TransportSpec transports;
   ServerOptions options;
   options.arm_sigint = true;
@@ -73,7 +78,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--pipe") {
-      pipe_mode = true;
+      transports.pipe_in = 0;
+      transports.pipe_out = 1;
     } else if (arg == "--socket") {
       transports.unix_path = next();
     } else if (arg == "--tcp") {
@@ -104,23 +110,8 @@ int main(int argc, char** argv) {
   const bool stream_mode = !transports.unix_path.empty() ||
                            !transports.tcp.empty() ||
                            !transports.http.empty();
-  if (pipe_mode == stream_mode) {
+  if ((transports.pipe_in >= 0) == stream_mode) {
     return usage(argv[0]);  // pipe XOR at least one stream listener
-  }
-
-  if (pipe_mode) {
-    return shlcp::svc::serve_pipe(options);
-  }
-  if (!transports.unix_path.empty()) {
-    std::fprintf(stderr, "shlcpd: serving unix %s\n",
-                 transports.unix_path.c_str());
-  }
-  if (!transports.tcp.empty()) {
-    std::fprintf(stderr, "shlcpd: serving tcp %s\n", transports.tcp.c_str());
-  }
-  if (!transports.http.empty()) {
-    std::fprintf(stderr, "shlcpd: serving http %s\n",
-                 transports.http.c_str());
   }
   return shlcp::svc::serve_transports(transports, options);
 }

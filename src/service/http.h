@@ -17,7 +17,7 @@
 //   GET /healthz     the `health` op (also /v1/health, /v1/info).
 //
 // The gateway builds a shlcp.svc.v1 envelope per request and rides the
-// exact serve_stream loop the JSONL transports use -- same admission
+// one serve_stream loop the JSONL transports use -- same admission
 // caps, same shedding, same drain contract, same batching. Error codes
 // map onto statuses:
 //
@@ -37,10 +37,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
-#include "service/server.h"
+#include "service/netloop.h"
 
 namespace shlcp::svc {
 
@@ -88,11 +89,8 @@ class HttpParser {
   bool failed_ = false;
 };
 
-/// Serves the gateway at host:port over the shared stream loop
-/// (netloop.h). Same contract as serve_tcp: numeric IPv4 host, port 0
-/// = ephemeral via options.bound_port, runs until the cancel token
-/// trips, returns a process exit code.
-int serve_http(const std::string& host, int port,
-               const ServerOptions& options);
+/// The gateway's protocol for a listener of the shared stream loop
+/// (netloop.h): one per accepted connection.
+std::unique_ptr<ConnProtocol> make_http_protocol(std::size_t max_frame_bytes);
 
 }  // namespace shlcp::svc

@@ -4,7 +4,8 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <optional>
+#include <deque>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -19,6 +20,7 @@
 #include "util/clock.h"
 #include "util/format.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 
 namespace shlcp::svc {
 
@@ -52,14 +54,44 @@ void set_cloexec(int fd) {
   }
 }
 
-}  // namespace
+/// One admitted request awaiting dispatch.
+struct PendingRequest {
+  std::string body;           // request envelope (shlcp.svc.v1 JSON)
+  std::uint64_t admit_ms = 0; // admission stamp; queue delay charges
+                              // against deadline_ms
+  std::size_t conn = 0;       // index of the owning connection
+  std::int64_t owner = -1;    // session owner handed to the dispatcher:
+                              // the connection slot, or -1 for the pipe
+                              // (exempt from per-connection session caps)
+  std::uint64_t tag = 0;      // protocol-private cookie (HTTP: request
+                              // sequence + keep-alive bit)
+  bool raw = false;           // body is already wire bytes: skip the
+                              // dispatcher AND the encoder, write as-is
+                              // (canned protocol replies ride the queue
+                              // to keep per-connection response order)
+};
 
+/// Admission policy of the loop.
+struct Admission {
+  std::size_t queue_max = 0;          // 0 = unbounded
+  std::size_t conn_inflight_max = 0;  // 0 = unbounded
+  int batch_max = 32;
+  HealthState* health = nullptr;
+};
+
+/// Backpressure hint for a shed frame: roughly how long the backlog
+/// ahead needs to dispatch, assuming ~10 ms per batch, capped so a
+/// wildly overloaded server never tells clients to sleep forever.
 std::int64_t retry_after_hint_ms(std::size_t depth, int batch_max) {
   const std::size_t batches =
       depth / static_cast<std::size_t>(std::max(batch_max, 1)) + 1;
   return static_cast<std::int64_t>(std::min<std::size_t>(batches * 10, 1000));
 }
 
+/// Builds the "overloaded" refusal body for a request that was never
+/// admitted. The envelope is parsed only to salvage the request id (the
+/// response must be matchable client-side); one too corrupt to parse is
+/// shed with a null id.
 std::string shed_body(const std::string& body, std::string_view what,
                       std::size_t depth, int batch_max) {
   Json id;
@@ -76,25 +108,23 @@ std::string shed_body(const std::string& body, std::string_view what,
       .dump();
 }
 
+/// Outcome of admitting one envelope: empty = admitted (the request is
+/// now queued), otherwise the refusal body to send back.
 std::string admit_request(std::deque<PendingRequest>& queue,
                           PendingRequest&& request,
                           std::size_t* conn_inflight,
                           const Admission& admission) {
   if (admission.queue_max > 0 && queue.size() >= admission.queue_max) {
-    if (admission.health != nullptr) {
-      admission.health->shed_total.fetch_add(1, std::memory_order_relaxed);
-    }
+    admission.health->shed_total.fetch_add(1, std::memory_order_relaxed);
     return shed_body(
         request.body,
         format("admission queue full (%zu queued); back off and retry",
                queue.size()),
         queue.size(), admission.batch_max);
   }
-  if (admission.conn_inflight_max > 0 && conn_inflight != nullptr &&
+  if (admission.conn_inflight_max > 0 &&
       *conn_inflight >= admission.conn_inflight_max) {
-    if (admission.health != nullptr) {
-      admission.health->shed_total.fetch_add(1, std::memory_order_relaxed);
-    }
+    admission.health->shed_total.fetch_add(1, std::memory_order_relaxed);
     return shed_body(
         request.body,
         format("connection in-flight cap (%zu) reached; await "
@@ -103,20 +133,18 @@ std::string admit_request(std::deque<PendingRequest>& queue,
         queue.size(), admission.batch_max);
   }
   queue.push_back(std::move(request));
-  if (conn_inflight != nullptr) {
-    ++*conn_inflight;
-  }
-  if (admission.health != nullptr) {
-    admission.health->admitted_total.fetch_add(1, std::memory_order_relaxed);
-    admission.health->queue_depth.store(queue.size(),
-                                        std::memory_order_relaxed);
-  }
+  ++*conn_inflight;
+  admission.health->admitted_total.fetch_add(1, std::memory_order_relaxed);
+  admission.health->queue_depth.store(queue.size(), std::memory_order_relaxed);
   return {};
 }
 
+/// Dispatches up to batch_max queued requests across the pool and
+/// returns the responses in queue order (paired with their Pending).
+/// `raw` requests pass through untouched (their body IS the response).
 std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
     Dispatcher& dispatcher, WorkerPool& pool,
-    std::deque<PendingRequest>& queue, int batch_max, HealthState* health) {
+    std::deque<PendingRequest>& queue, int batch_max, HealthState& health) {
   const std::size_t count =
       std::min(queue.size(), static_cast<std::size_t>(batch_max));
   std::vector<PendingRequest> batch;
@@ -129,9 +157,7 @@ std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
       .record(count);
   metrics::gauge("service.queue.depth")
       .set(static_cast<std::int64_t>(queue.size()));
-  if (health != nullptr) {
-    health->queue_depth.store(queue.size(), std::memory_order_relaxed);
-  }
+  health.queue_depth.store(queue.size(), std::memory_order_relaxed);
 
   const std::uint64_t dispatch_ms = mono_ms();
   std::vector<std::string> responses(count);
@@ -143,7 +169,7 @@ std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
                                       ? dispatch_ms - batch[i].admit_ms
                                       : 0;
     responses[i] = dispatcher.handle_text(batch[i].body, elapsed,
-                                          batch[i].conn);
+                                          batch[i].owner);
   };
   if (count == 1) {
     run_one(0);
@@ -165,9 +191,98 @@ std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
   return out;
 }
 
+class JsonlProtocol final : public ConnProtocol {
+ public:
+  explicit JsonlProtocol(std::size_t max_frame_bytes)
+      : reader_(max_frame_bytes) {}
+
+  void on_bytes(std::string_view data, Output* out) override {
+    if (reader_.failed()) {
+      return;  // stream already condemned; drop trailing bytes
+    }
+    reader_.feed(data);
+    std::string frame;
+    std::string error;
+    while (true) {
+      switch (reader_.next(&frame, &error)) {
+        case FrameReader::Next::kFrame:
+          out->requests.push_back(Inbound{std::move(frame), 0, false});
+          frame.clear();
+          break;
+        case FrameReader::Next::kNeedMore:
+          return;
+        case FrameReader::Next::kError:
+          out->requests.push_back(Inbound{
+              encode_frame(
+                  error_response(Json(), kErrBadFrame, error).dump()),
+              0, true});
+          out->close = true;
+          return;
+      }
+    }
+  }
+
+  std::string encode_response(std::uint64_t /*tag*/,
+                              const std::string& response,
+                              bool* /*close_after*/) override {
+    return encode_frame(response);
+  }
+
+  std::string encode_shed(const Inbound& /*req*/,
+                          const std::string& refusal_body,
+                          bool* /*close_after*/) override {
+    return encode_frame(refusal_body);
+  }
+
+ private:
+  FrameReader reader_;
+};
+
+/// One open connection of the loop: an accepted socket, or the pipe.
+struct Connection {
+  int fd = -1;         // read side; also the write side of a socket
+  int out_fd = -1;     // write side
+  bool pipe = false;   // the caller's pipe: blocking writes, never
+                       // closed here, an I/O error fails the loop
+  std::unique_ptr<ConnProtocol> proto;
+  bool closing = false;        // read no more (EOF, framing lost, or the
+                               // protocol asked); close once nothing is
+                               // owed
+  std::size_t inflight = 0;    // admitted frames not yet answered
+  std::size_t queued_raw = 0;  // canned replies still in the queue
+  std::string outbuf;          // responses the kernel has not accepted
+  std::size_t outpos = 0;      // consumed prefix of outbuf
+
+  Connection(int in, int out, bool is_pipe, std::unique_ptr<ConnProtocol> p)
+      : fd(in), out_fd(out), pipe(is_pipe), proto(std::move(p)) {}
+
+  [[nodiscard]] std::size_t pending_out() const {
+    return outbuf.size() - outpos;
+  }
+};
+
+}  // namespace
+
+std::unique_ptr<ConnProtocol> make_jsonl_protocol(
+    std::size_t max_frame_bytes) {
+  return std::make_unique<JsonlProtocol>(max_frame_bytes);
+}
+
+void StreamListener::close() {
+  if (fd >= 0) {
+    ::close(fd);
+    fd = -1;
+    if (unbind) {
+      unbind();
+    }
+  }
+}
+
 StreamListener listen_unix(const std::string& path) {
-  SHLCP_CHECK_MSG(path.size() < sizeof(sockaddr_un{}.sun_path),
-                  "socket path too long");
+  if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+    errno = ENAMETOOLONG;
+    return {};
+  }
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     return {};
@@ -179,7 +294,7 @@ StreamListener listen_unix(const std::string& path) {
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
       ::listen(fd, 64) != 0) {
-    ::close(fd);
+    ::close(fd);  // a successful close leaves errno alone
     return {};
   }
   // Nonblocking: poll's readability hint on a listener is advisory --
@@ -189,7 +304,7 @@ StreamListener listen_unix(const std::string& path) {
   // supervisor forks backends from a process running this loop).
   set_nonblocking(fd);
   set_cloexec(fd);
-  return {fd, [path] { ::unlink(path.c_str()); }};
+  return {fd, [path] { ::unlink(path.c_str()); }, nullptr};
 }
 
 StreamListener listen_tcp(const std::string& host, int port,
@@ -205,6 +320,7 @@ StreamListener listen_tcp(const std::string& host, int port,
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     ::close(fd);
+    errno = EINVAL;
     return {};
   }
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
@@ -213,103 +329,83 @@ StreamListener listen_tcp(const std::string& host, int port,
     ::close(fd);
     return {};
   }
-  if (bound_port != nullptr) {
-    sockaddr_in bound = {};
-    socklen_t len = sizeof(bound);
-    *bound_port = ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound),
-                                &len) == 0
-                      ? static_cast<int>(ntohs(bound.sin_port))
-                      : port;
-  }
+  sockaddr_in bound = {};
+  socklen_t len = sizeof(bound);
+  *bound_port =
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0
+          ? static_cast<int>(ntohs(bound.sin_port))
+          : port;
   set_nonblocking(fd);  // same blocked-accept hazard as listen_unix
   set_cloexec(fd);
-  return {fd, nullptr};
+  return {fd, nullptr, nullptr};
 }
 
-int serve_stream(StreamListener listener, const ServerOptions& options,
-                 const ProtocolFactory& make_protocol) {
+int serve_stream(std::vector<StreamListener> listeners, int pipe_in,
+                 int pipe_out, Dispatcher& dispatcher, CancelToken& cancel,
+                 const ServerOptions& options) {
   ::signal(SIGPIPE, SIG_IGN);
-  if (listener.fd < 0) {
-    return 1;
-  }
-  const int listen_fd = listener.fd;
-
-  // The dispatcher, health counters, and cancel token are injectable so
-  // several transport loops (serve_transports) can share one of each;
-  // standalone use owns all three.
-  std::unique_ptr<Service> owned_service;
-  Dispatcher* dispatcher = options.dispatcher;
-  if (dispatcher == nullptr) {
-    owned_service = std::make_unique<Service>(options.service);
-    dispatcher = owned_service.get();
-  }
-  HealthState owned_health;
-  HealthState* health =
-      options.health != nullptr ? options.health : &owned_health;
-  health->queue_max.store(options.queue_max, std::memory_order_relaxed);
-  dispatcher->attach_health(health);
+  HealthState health;
+  health.queue_max.store(options.queue_max, std::memory_order_relaxed);
+  dispatcher.attach_health(&health);
   const Admission admission{options.queue_max, options.conn_inflight_max,
-                            options.batch_max, health};
-  CancelToken local_token;
-  CancelToken* cancel =
-      options.cancel != nullptr ? options.cancel : &local_token;
-  std::optional<SigintGuard> sigint;
-  if (options.arm_sigint) {
-    sigint.emplace(*cancel);
-  }
+                            options.batch_max, &health};
   WorkerPool pool(resolve_num_threads(options.num_threads));
 
-  struct Connection {
-    int fd = -1;
-    std::unique_ptr<ConnProtocol> proto;
-    bool broken = false;   // framing lost: flush pending, then close
-    bool closing = false;  // protocol asked to end after responses out
-    std::size_t inflight = 0;    // admitted frames not yet answered
-    std::size_t queued_raw = 0;  // canned replies still in the queue
-    std::string outbuf;        // responses the kernel has not accepted
-    std::size_t outpos = 0;    // consumed prefix of outbuf
-
-    Connection(int f, std::unique_ptr<ConnProtocol> p)
-        : fd(f), proto(std::move(p)) {}
-
-    [[nodiscard]] std::size_t pending_out() const {
-      return outbuf.size() - outpos;
-    }
-  };
   std::vector<Connection> conns;
+  if (pipe_in >= 0) {
+    conns.emplace_back(pipe_in, pipe_out, true,
+                       make_jsonl_protocol(options.max_frame_bytes));
+  }
   std::deque<PendingRequest> queue;
-  bool accepting = true;
+  int exit_code = 0;
 
   const auto stop_accepting = [&] {
-    if (accepting) {
-      accepting = false;
-      ::close(listen_fd);
-      if (listener.unbind) {
-        listener.unbind();
-      }
+    for (StreamListener& listener : listeners) {
+      listener.close();
+    }
+    listeners.clear();
+  };
+
+  const auto check_cancel = [&] {
+    if (cancel.stop_requested() && !dispatcher.draining()) {
+      dispatcher.begin_drain();
+      stop_accepting();
     }
   };
 
   const auto close_conn = [&](Connection& c) {
-    if (c.fd >= 0) {
+    if (c.fd >= 0 && !c.pipe) {
       ::close(c.fd);
-      c.fd = -1;
     }
+    c.fd = -1;
     c.outbuf.clear();
     c.outpos = 0;
   };
 
-  // Writes as much of c.outbuf as the (non-blocking) socket accepts.
-  // Returns false if the connection died. A full socket buffer is not
-  // an error: the remainder stays queued and the poll loop watches
-  // POLLOUT -- one slow reader must never stall dispatch for the rest.
+  // A connection that died of an I/O error. The pipe is the daemon's
+  // only client, so losing it is a transport failure of the process.
+  const auto fail_conn = [&](Connection& c) {
+    if (c.pipe) {
+      exit_code = 1;
+    }
+    close_conn(c);
+  };
+
+  // Writes as much of c.outbuf as the connection accepts. Returns false
+  // if the connection died. A full socket buffer is not an error: the
+  // remainder stays queued and the poll loop watches POLLOUT -- one
+  // slow reader must never stall dispatch for the rest.
   const auto flush_conn = [&](Connection& c) -> bool {
     while (c.outpos < c.outbuf.size()) {
-      // MSG_NOSIGNAL: a client that vanished mid-response must produce
-      // EPIPE (slot reclaimed below), never a process-killing SIGPIPE
-      // -- belt to the SIG_IGN suspenders above.
-      const ssize_t n = ::send(c.fd, c.outbuf.data() + c.outpos,
-                               c.outbuf.size() - c.outpos, MSG_NOSIGNAL);
+      const char* data = c.outbuf.data() + c.outpos;
+      const std::size_t size = c.outbuf.size() - c.outpos;
+      // The pipe's fds may share their file description with other
+      // processes, so they are never switched to O_NONBLOCK and these
+      // writes block. MSG_NOSIGNAL: a socket client that vanished
+      // mid-response must produce EPIPE (slot reclaimed below), never a
+      // process-killing SIGPIPE -- belt to the SIG_IGN suspenders above.
+      const ssize_t n = c.pipe ? ::write(c.out_fd, data, size)
+                               : ::send(c.fd, data, size, MSG_NOSIGNAL);
       if (n > 0) {
         c.outpos += static_cast<std::size_t>(n);
         continue;
@@ -317,10 +413,10 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
       if (n < 0 && errno == EINTR) {
         continue;
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (n < 0 && !c.pipe && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         return true;
       }
-      close_conn(c);
+      fail_conn(c);
       return false;
     }
     c.outbuf.clear();
@@ -338,52 +434,41 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
     }
   };
 
-  // A connection done with its work (framing lost, or the protocol
-  // requested close) goes away once everything owed is flushed.
+  // A closing connection goes away once everything owed is flushed.
   const auto finished = [](const Connection& c) {
-    return (c.broken || c.closing) && c.inflight == 0 &&
-           c.queued_raw == 0 && c.pending_out() == 0;
+    return c.closing && c.inflight == 0 && c.queued_raw == 0 &&
+           c.pending_out() == 0;
   };
 
   while (true) {
-    if (cancel->stop_requested() && !dispatcher->draining()) {
-      dispatcher->begin_drain();
-      stop_accepting();
-    }
+    check_cancel();
     while (!queue.empty()) {
       for (auto& [req, response] : dispatch_batch(
-               *dispatcher, pool, queue, options.batch_max, health)) {
-        if (req.conn >= 0 && req.conn < static_cast<int>(conns.size())) {
-          Connection& owner = conns[static_cast<std::size_t>(req.conn)];
-          if (req.raw) {
-            if (owner.queued_raw > 0) {
-              --owner.queued_raw;
-            }
-            if (owner.fd >= 0) {
-              send_conn(owner, req.body);
-            }
-            continue;
+               dispatcher, pool, queue, options.batch_max, health)) {
+        Connection& owner = conns[req.conn];
+        if (req.raw) {
+          if (owner.queued_raw > 0) {
+            --owner.queued_raw;
           }
-          if (owner.inflight > 0) {
-            --owner.inflight;
-          }
-          if (owner.fd >= 0) {
-            bool close_after = false;
-            const std::string bytes =
-                owner.proto->encode_response(req.tag, response, &close_after);
-            send_conn(owner, bytes);
-            if (close_after) {
-              owner.closing = true;
-            }
+          send_conn(owner, req.body);
+          continue;
+        }
+        if (owner.inflight > 0) {
+          --owner.inflight;
+        }
+        if (owner.fd >= 0) {
+          bool close_after = false;
+          const std::string bytes =
+              owner.proto->encode_response(req.tag, response, &close_after);
+          send_conn(owner, bytes);
+          if (close_after) {
+            owner.closing = true;
           }
         }
       }
-      if (cancel->stop_requested() && !dispatcher->draining()) {
-        dispatcher->begin_drain();
-        stop_accepting();
-      }
+      check_cancel();
     }
-    if (dispatcher->draining()) {
+    if (dispatcher.draining()) {
       break;  // queue flushed above; refuse everything else
     }
 
@@ -399,64 +484,67 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
     conns.erase(std::remove_if(conns.begin(), conns.end(),
                                [](const Connection& c) { return c.fd < 0; }),
                 conns.end());
-
-    std::vector<pollfd> pfds;
-    std::vector<int> conn_of_pfd;  // -1 = the listener
-    if (accepting) {
-      pfds.push_back({listen_fd, POLLIN, 0});
-      conn_of_pfd.push_back(-1);
+    if (listeners.empty() && conns.empty()) {
+      break;  // a pipe-only loop whose pipe ended
     }
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      if (conns[i].fd >= 0) {
-        // A broken or closing connection only lingers to flush what it
-        // is owed; it is never read again.
-        const short events = static_cast<short>(
-            ((conns[i].broken || conns[i].closing) ? 0 : POLLIN) |
-            (conns[i].pending_out() > 0 ? POLLOUT : 0));
-        pfds.push_back({conns[i].fd, events, 0});
-        conn_of_pfd.push_back(static_cast<int>(i));
-      }
+
+    // pfds: the listeners first, then one entry per connection. A
+    // closing connection only lingers to flush what it is owed (the
+    // pipe's blocking writes never leave any); it is never read again.
+    std::vector<pollfd> pfds;
+    for (const StreamListener& listener : listeners) {
+      pfds.push_back({listener.fd, POLLIN, 0});
+    }
+    for (const Connection& c : conns) {
+      pfds.push_back(
+          {c.fd,
+           static_cast<short>((c.closing ? 0 : POLLIN) |
+                              (c.pending_out() > 0 ? POLLOUT : 0)),
+           0});
     }
     const int rc = ::poll(pfds.data(), pfds.size(), kPollTimeoutMs);
     if (rc < 0 && errno != EINTR) {
+      exit_code = 1;
       break;
     }
     if (rc <= 0) {
       continue;
     }
 
-    for (std::size_t pi = 0; pi < pfds.size(); ++pi) {
-      if (conn_of_pfd[pi] < 0) {
-        if ((pfds[pi].revents & POLLIN) != 0) {
-          // EAGAIN is normal here (nonblocking listener, advisory
-          // POLLIN); the connection will be re-reported if still queued.
-          const int client = ::accept(listen_fd, nullptr, nullptr);
-          if (client >= 0) {
-            set_nonblocking(client);
-            set_cloexec(client);
-            conns.emplace_back(client,
-                               make_protocol(options.max_frame_bytes));
-          }
+    const std::size_t nlisten = listeners.size();
+    const std::size_t nconns = conns.size();  // accepts append past these
+    for (std::size_t li = 0; li < nlisten; ++li) {
+      if ((pfds[li].revents & POLLIN) == 0) {
+        continue;
+      }
+      // EAGAIN is normal here (nonblocking listener, advisory POLLIN);
+      // the connection will be re-reported if still queued.
+      const int client = ::accept(listeners[li].fd, nullptr, nullptr);
+      if (client >= 0) {
+        set_nonblocking(client);
+        set_cloexec(client);
+        conns.emplace_back(
+            client, client, false,
+            listeners[li].make_protocol(options.max_frame_bytes));
+      }
+    }
+    for (std::size_t ci = 0; ci < nconns; ++ci) {
+      Connection& c = conns[ci];
+      const short revents = pfds[nlisten + ci].revents;
+      if ((revents & (POLLERR | POLLNVAL)) != 0) {
+        fail_conn(c);  // a dead fd must not busy-spin the poll loop
+        continue;
+      }
+      if ((revents & POLLOUT) != 0 && !flush_conn(c)) {
+        continue;
+      }
+      if (c.closing) {
+        if ((revents & POLLHUP) != 0) {
+          close_conn(c);  // the peer left; nothing more can be delivered
         }
         continue;
       }
-      const int conn_index = conn_of_pfd[pi];
-      Connection& c = conns[static_cast<std::size_t>(conn_index)];
-      if ((pfds[pi].revents & (POLLERR | POLLNVAL)) != 0) {
-        close_conn(c);  // a dead fd must not busy-spin the poll loop
-        continue;
-      }
-      if ((pfds[pi].revents & POLLOUT) != 0 && !flush_conn(c)) {
-        continue;
-      }
-      if (c.broken || c.closing) {
-        // Close once everything owed is out (or the peer left).
-        if (finished(c) || (pfds[pi].revents & POLLHUP) != 0) {
-          close_conn(c);
-        }
-        continue;
-      }
-      if ((pfds[pi].revents & (POLLIN | POLLHUP)) == 0) {
+      if ((revents & (POLLIN | POLLHUP)) == 0) {
         continue;
       }
       char buf[64 << 10];
@@ -465,26 +553,28 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
         ConnProtocol::Output out;
         c.proto->on_bytes(std::string_view(buf, static_cast<std::size_t>(n)),
                           &out);
+        const std::int64_t owner =
+            c.pipe ? -1 : static_cast<std::int64_t>(ci);
         for (ConnProtocol::Inbound& in : out.requests) {
           if (in.raw) {
             // Canned protocol reply: ride the queue so it is written in
             // request order relative to dispatched responses.
-            queue.push_back(PendingRequest{std::move(in.body), mono_ms(),
-                                           conn_index, in.tag, true});
+            queue.push_back(PendingRequest{std::move(in.body), mono_ms(), ci,
+                                           owner, in.tag, true});
             ++c.queued_raw;
             continue;
           }
-          PendingRequest pending{std::move(in.body), mono_ms(), conn_index,
-                                 in.tag, false};
-          std::string refusal =
-              admit_request(queue, std::move(pending), &c.inflight,
-                            admission);
+          std::string refusal = admit_request(
+              queue,
+              PendingRequest{std::move(in.body), mono_ms(), ci, owner, in.tag,
+                             false},
+              &c.inflight, admission);
           if (!refusal.empty()) {
             bool close_after = false;
             std::string wire =
                 c.proto->encode_shed(in, refusal, &close_after);
-            queue.push_back(PendingRequest{std::move(wire), mono_ms(),
-                                           conn_index, in.tag, true});
+            queue.push_back(PendingRequest{std::move(wire), mono_ms(), ci,
+                                           owner, in.tag, true});
             ++c.queued_raw;
             if (close_after) {
               c.closing = true;
@@ -493,14 +583,15 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
         }
         if (out.close) {
           metrics::counter("service.errors").inc();
-          c.broken = true;
+          c.closing = true;
         }
-        if (finished(c)) {
-          close_conn(c);  // nothing queued or owed; otherwise flush first
-        }
-      } else if (n == 0 || (errno != EINTR && errno != EAGAIN &&
-                            errno != EWOULDBLOCK)) {
-        close_conn(c);
+      } else if (n == 0) {
+        // EOF: the peer sent its last request. Read no more, deliver
+        // every reply still owed, then close -- a half-closed client
+        // gets all of them.
+        c.closing = true;
+      } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+        fail_conn(c);
       }
     }
   }
@@ -539,7 +630,8 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
     close_conn(c);
   }
   stop_accepting();
-  return 0;
+  dispatcher.attach_health(nullptr);
+  return exit_code;
 }
 
 }  // namespace shlcp::svc

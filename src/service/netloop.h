@@ -1,13 +1,16 @@
-// Generic poll-driven stream-server loop shared by every network
-// transport (DESIGN.md §15).
+// The one poll-driven server loop behind every transport (DESIGN.md
+// §15). Private to src/service: serve_transports (server.h) is the
+// public entry point.
 //
-// PR 7's serve_socket already had everything a production listener
-// needs -- non-blocking accept, per-connection read buffers, bounded
-// write buffers flushed on POLLOUT, admission control with "overloaded"
-// shedding, and the three-part drain contract (finish in-flight, refuse
-// queued, exit 0). This header extracts that loop so the unix-socket,
-// TCP, and HTTP listeners are the *same code* differing only in (a) how
-// the listening fd is bound and (b) a ConnProtocol that turns raw bytes
+// serve_stream runs on its caller's thread over any mix of bound
+// listeners (unix socket, TCP, HTTP) and at most one pre-connected pipe
+// (shlcpd --pipe). Everything a connection needs -- non-blocking
+// accept, per-connection read buffers, bounded write buffers flushed on
+// POLLOUT, admission control with "overloaded" shedding, and the
+// three-part drain contract (finish in-flight, refuse queued, exit 0)
+// -- is this one loop, with one admission queue, one WorkerPool and
+// one HealthState for all of them. The listeners differ only in (a)
+// how their fd was bound and (b) the ConnProtocol that turns raw bytes
 // into request envelopes and dispatcher responses into wire bytes.
 //
 // The split of responsibilities:
@@ -31,76 +34,22 @@
 // batch preserves queue order and the queue preserves arrival order);
 // protocols guarantee it for canned replies by emitting them as
 // `raw` Inbounds that ride the queue instead of bypassing it.
-//
-// serve_pipe (server.cpp) keeps its simpler blocking-write loop but
-// shares the admission/dispatch helpers below, so shedding semantics
-// and retry_after_ms hints are identical on every transport.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "service/server.h"
 #include "service/service.h"
-#include "util/parallel.h"
+#include "util/budget.h"
 
 namespace shlcp::svc {
-
-/// One admitted request awaiting dispatch.
-struct PendingRequest {
-  std::string body;           // request envelope (shlcp.svc.v1 JSON)
-  std::uint64_t admit_ms = 0; // admission stamp; queue delay charges
-                              // against deadline_ms
-  int conn = -1;              // owning connection index (-1 = pipe)
-  std::uint64_t tag = 0;      // protocol-private cookie (HTTP: request
-                              // sequence + keep-alive bit)
-  bool raw = false;           // body is already wire bytes: skip the
-                              // dispatcher AND the encoder, write as-is
-                              // (canned protocol replies ride the queue
-                              // to keep per-connection response order)
-};
-
-/// Admission policy shared by every transport loop.
-struct Admission {
-  std::size_t queue_max = 0;          // 0 = unbounded
-  std::size_t conn_inflight_max = 0;  // 0 = unbounded
-  int batch_max = 32;
-  HealthState* health = nullptr;
-};
-
-/// Backpressure hint for a shed frame: roughly how long the backlog
-/// ahead needs to dispatch, assuming ~10 ms per batch, capped so a
-/// wildly overloaded server never tells clients to sleep forever.
-std::int64_t retry_after_hint_ms(std::size_t depth, int batch_max);
-
-/// Builds the "overloaded" refusal body for a request that was never
-/// admitted. The envelope is parsed only to salvage the request id (the
-/// response must be matchable client-side); one too corrupt to parse is
-/// shed with a null id.
-std::string shed_body(const std::string& body, std::string_view what,
-                      std::size_t depth, int batch_max);
-
-/// Outcome of admitting one envelope: empty = admitted (the request is
-/// now queued), otherwise the refusal body to send back.
-std::string admit_request(std::deque<PendingRequest>& queue,
-                          PendingRequest&& request,
-                          std::size_t* conn_inflight,
-                          const Admission& admission);
-
-/// Dispatches up to batch_max queued requests across the pool and
-/// returns the responses in queue order (paired with their Pending).
-/// `raw` requests pass through untouched (their body IS the response).
-std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
-    Dispatcher& dispatcher, WorkerPool& pool,
-    std::deque<PendingRequest>& queue, int batch_max, HealthState* health);
 
 /// Per-connection wire protocol adapter. One instance per accepted
 /// connection; the loop owns it. Implementations are single-threaded
@@ -132,8 +81,8 @@ class ConnProtocol {
                                       const std::string& response,
                                       bool* close_after) = 0;
 
-  /// Encodes an admission refusal (body built by shed_body) for a
-  /// request that was never queued.
+  /// Encodes an admission refusal (an "overloaded" response body) for
+  /// a request that was never queued.
   virtual std::string encode_shed(const Inbound& req,
                                   const std::string& refusal_body,
                                   bool* close_after) = 0;
@@ -142,32 +91,48 @@ class ConnProtocol {
 using ProtocolFactory =
     std::function<std::unique_ptr<ConnProtocol>(std::size_t max_frame_bytes)>;
 
-/// A bound, listening stream socket handed to serve_stream.
+/// Length-prefixed JSONL (proto.h): requests and responses are matched
+/// by their "id" member. A framing error emits one bad_frame response
+/// and ends the stream. Spoken on unix, TCP and the pipe.
+std::unique_ptr<ConnProtocol> make_jsonl_protocol(std::size_t max_frame_bytes);
+
+/// A bound, listening stream socket and the protocol its connections
+/// speak.
 struct StreamListener {
   int fd = -1;
   /// Undoes the bind when the listener stops accepting (unix: unlink
   /// the socket path). May be empty.
   std::function<void()> unbind;
+  ProtocolFactory make_protocol;
+
+  /// Stops listening: closes fd and undoes the bind. Idempotent.
+  void close();
 };
 
 /// Binds + listens on a unix-domain socket at `path` (an existing
-/// socket file is replaced). Returns fd < 0 on failure. The returned
-/// unbind unlinks the path.
+/// socket file is replaced). Returns fd < 0 with errno set on failure.
+/// The returned unbind unlinks the path.
 StreamListener listen_unix(const std::string& path);
 
 /// Binds + listens on TCP `host:port` (port 0 picks an ephemeral port).
-/// Returns fd < 0 on failure; *bound_port (optional) receives the
+/// Returns fd < 0 with errno set on failure; *bound_port receives the
 /// actual port. Numeric IPv4 hosts only ("127.0.0.1", "0.0.0.0") --
 /// the daemon is an internal-fleet component, not a resolver.
 StreamListener listen_tcp(const std::string& host, int port,
                           int* bound_port);
 
-/// The shared server loop: accepts connections on `listener`, speaks
-/// `make_protocol` on each, dispatches through options.dispatcher (or
-/// an owned Service when null), and honors the admission/drain
-/// contract documented in server.h. Owns and closes listener.fd.
-/// Returns a process exit code (0 = clean, including clean drains).
-int serve_stream(StreamListener listener, const ServerOptions& options,
-                 const ProtocolFactory& make_protocol);
+/// The server loop: accepts connections on every listener, speaks each
+/// listener's protocol on its connections, and -- when pipe_in >= 0 --
+/// serves one JSONL connection that reads pipe_in and writes pipe_out.
+/// The pipe fds stay blocking and stay open (the caller owns them); an
+/// I/O error on the pipe makes the exit code 1. Dispatches through
+/// `dispatcher` and honors the admission/drain contract documented in
+/// server.h until `cancel` trips, or until no listener and no
+/// connection is left (a pipe that reached EOF or lost its framing).
+/// Owns and closes every listener. Returns a process exit code (0 =
+/// clean, including clean drains).
+int serve_stream(std::vector<StreamListener> listeners, int pipe_in,
+                 int pipe_out, Dispatcher& dispatcher, CancelToken& cancel,
+                 const ServerOptions& options);
 
 }  // namespace shlcp::svc

@@ -1,20 +1,23 @@
-// Transport loops of shlcpd: pipe, unix-domain socket, and TCP.
+// The serving entry point of shlcpd and shlcp_router: serve_transports
+// runs a pipe, a unix-domain socket, TCP, and/or the HTTP gateway.
 //
-// All loops share the same shape: accumulate bytes into FrameReaders,
-// extract complete request frames, batch up to ServerOptions::batch_max
-// of them, dispatch the batch across a WorkerPool (one request per
-// work unit -- the service's operations are internally sequential, so
-// the only parallelism is across requests), and write the responses
-// back in arrival order. Each request is stamped at admission; the
-// queueing delay is charged against its deadline_ms by Service::handle.
+// serve_transports binds and listen()s every requested listener first.
+// If any of them cannot bind, it closes the others, unlinks the unix
+// path, and returns 1 at once without publishing a port file. Otherwise
+// it publishes the port file and runs ONE poll loop (serve_stream,
+// netloop.h) on the calling thread over every listener and the pipe:
+// one dispatcher, one admission queue, one WorkerPool, one HealthState
+// and one cancel token, so the artifact cache, the `health` counters and
+// the drain are shared by every transport. That is how shlcpd exposes
+// --socket, --tcp and --http at once.
 //
-// The socket and TCP loops are the same code: serve_stream (netloop.h)
-// with a JSONL ConnProtocol over a differently-bound listener. The
-// HTTP gateway (http.h) is that loop again with an HTTP protocol.
-// serve_transports runs any combination of them concurrently over one
-// shared dispatcher, health state, and cancel token -- which is how
-// shlcpd exposes --socket, --tcp, and --http at once with a single
-// artifact cache behind all three.
+// The loop accumulates bytes per connection, extracts complete request
+// frames, batches up to ServerOptions::batch_max of them, dispatches
+// the batch across the WorkerPool (one request per work unit -- the
+// service's operations are internally sequential, so the only
+// parallelism is across requests), and writes the responses back in
+// arrival order. Each request is stamped at admission; the queueing
+// delay is charged against its deadline_ms by Service::handle.
 //
 // Readiness is poll()-driven with a short timeout rather than blocking
 // reads, because the repo's SigintGuard installs its handler with
@@ -28,19 +31,24 @@
 // queued, exit clean) is pinned by tests/service_test.cpp and
 // exercised with a real SIGINT in the CI service-smoke job.
 //
-// A FrameReader protocol error (malformed header, oversized frame) is
-// answered with one "bad_frame" error response and ends that stream --
-// framing is unrecoverable once the length prefix is lost. In pipe
-// mode that ends the server; in stream modes only that connection.
+// Every connection, the pipe included, follows one end-of-stream rule:
+// when its read side reaches EOF the loop reads no more, delivers every
+// reply still owed, then closes it. A FrameReader protocol error
+// (malformed header, oversized frame) is answered with one "bad_frame"
+// error response and ends that stream the same way -- framing is
+// unrecoverable once the length prefix is lost. With no listener, the
+// loop returns 0 once the pipe has ended.
 //
-// Stream-mode connections are non-blocking with per-connection write
+// Socket connections are non-blocking with per-connection write
 // buffers: a client that stops reading never stalls dispatch for the
 // others -- its responses queue (up to a 64 MiB cap, then the
 // connection is closed) and flush on POLLOUT. POLLERR/POLLNVAL close
 // the connection, closed slots are reclaimed between poll rounds, and
 // a drain flushes still-buffered responses for a bounded grace window
-// before teardown. Socket sends use MSG_NOSIGNAL (and all loops
-// ignore SIGPIPE) so a vanished client can never kill the daemon.
+// before teardown. Socket sends use MSG_NOSIGNAL (and the loop ignores
+// SIGPIPE) so a vanished client can never kill the daemon. The pipe's
+// fds stay blocking (they may be shared with other processes), and a
+// write error on it -- its reader is gone -- exits 1.
 //
 // Overload shedding (DESIGN.md §14): admission is bounded by
 // ServerOptions::queue_max globally and conn_inflight_max per
@@ -48,12 +56,10 @@
 // "overloaded" error carrying a retry_after_ms hint scaled to the
 // backlog -- the client backs off, the queue never grows without
 // bound, and accepted requests keep their latency. Admission/shed
-// totals and live queue depth feed the service's `health` op through
-// a shared HealthState.
+// totals and live queue depth feed the service's `health` op.
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <string>
 
@@ -67,15 +73,11 @@ struct ServerOptions {
   /// Dispatcher configuration (LCP registry is fixed; cache is tunable).
   /// Ignored when `dispatcher` is set.
   ServiceConfig service;
-  /// The request handler behind this transport. Null (the default) =
-  /// the loop owns a Service built from `service`. Non-null (not
-  /// owned; must outlive the serve call) lets several transports share
-  /// one Service -- or put a Router behind them.
+  /// The request handler behind the transports. Null (the default) =
+  /// serve_transports owns a Service built from `service`. Non-null
+  /// (not owned; must outlive the serve call) puts a caller's Service
+  /// -- or a Router -- behind them.
   Dispatcher* dispatcher = nullptr;
-  /// Load counters shared across transports (not owned). Null = the
-  /// loop owns one. serve_transports injects one instance into every
-  /// loop so the `health` op aggregates all listeners.
-  HealthState* health = nullptr;
   /// Worker threads for batch dispatch; 0 resolves via SHLCP_NUM_THREADS
   /// then the hardware (util/parallel.h).
   int num_threads = 0;
@@ -88,17 +90,10 @@ struct ServerOptions {
   std::size_t queue_max = 512;
   /// Per-connection cap on admitted-but-unanswered requests, so one
   /// pipelining-happy client cannot monopolize the admission queue
-  /// (pipe mode counts the pipe as one connection). 0 = unbounded.
+  /// (the pipe counts as one connection). 0 = unbounded.
   std::size_t conn_inflight_max = 128;
   /// Per-frame byte cap (FrameReader); HTTP body cap in the gateway.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Pipe mode endpoints (tests inject socketpair/pipe fds here).
-  int in_fd = 0;
-  int out_fd = 1;
-  /// TCP/HTTP: receives the actually-bound port once listening (the
-  /// caller passed port 0 for an ephemeral one). Not owned; written
-  /// once, from the serving thread, before the first accept.
-  std::atomic<int>* bound_port = nullptr;
   /// External stop flag (not owned; must outlive the serve call). When
   /// null the server uses an internal token, reachable only via SIGINT.
   CancelToken* cancel = nullptr;
@@ -106,48 +101,37 @@ struct ServerOptions {
   bool arm_sigint = false;
 };
 
-/// Serves length-prefixed JSONL over (in_fd, out_fd) until EOF, a
-/// protocol error, or a drain. Returns a process exit code (0 = clean,
-/// including clean drains; 1 = transport failure).
-int serve_pipe(const ServerOptions& options);
-
-/// Serves over a unix-domain stream socket bound at `path` (an existing
-/// socket file is replaced; the path is unlinked on exit). Accepts any
-/// number of concurrent connections; per-connection framing errors close
-/// only that connection. Runs until the cancel token trips.
-int serve_socket(const std::string& path, const ServerOptions& options);
-
-/// Same loop and framing over TCP at host:port (numeric IPv4; port 0 =
-/// ephemeral, reported through options.bound_port). One fleet backend =
-/// one serve_tcp daemon; the router (router.h) consistent-hashes
-/// request keys across them.
-int serve_tcp(const std::string& host, int port,
-              const ServerOptions& options);
-
-/// Which listeners serve_transports should run. Empty string = that
-/// transport is disabled. tcp/http take "[HOST:]PORT" (default host
+/// Which transports serve_transports should run. Empty string = that
+/// listener is disabled. tcp/http take "[HOST:]PORT" (default host
 /// 127.0.0.1; port 0 = ephemeral).
 struct TransportSpec {
   std::string unix_path;
   std::string tcp;
   std::string http;
   /// When set, a JSON document {"unix": path?, "tcp": port?, "http":
-  /// port?} is written here once every requested listener is bound --
-  /// how scripts, bench_fleet, and the supervisor discover ephemeral
-  /// ports. Removed again on graceful exit, so the file's existence is
-  /// a truthful readiness signal (a stale file always means a crash).
+  /// port?} is written here once every requested listener is bound and
+  /// listening -- how scripts, bench_fleet, and the supervisor discover
+  /// ephemeral ports. Removed again on graceful exit, so the file's
+  /// existence is a truthful readiness signal (a stale file always
+  /// means a crash).
   std::string port_file;
+  /// Pipe mode: one pre-connected JSONL connection that reads pipe_in
+  /// and writes pipe_out (shlcpd --pipe: 0 and 1). -1 = no pipe. Both
+  /// fds stay blocking and stay open; the caller owns them.
+  int pipe_in = -1;
+  int pipe_out = -1;
 };
 
 /// Parses "[HOST:]PORT" (host defaults to 127.0.0.1). Returns false on
 /// a malformed spec.
 bool parse_hostport(const std::string& spec, std::string* host, int* port);
 
-/// Runs every requested listener concurrently over ONE dispatcher, one
-/// HealthState, and one cancel token (shared cache, shared drain: a
-/// SIGINT drains all transports together). Blocks until all loops
-/// exit; returns the worst exit code. At least one transport must be
-/// enabled.
+/// Serves every requested transport from one poll loop on the calling
+/// thread (see the top of this header). Logs one "serving" line per
+/// listener to stderr, with the bound port, once all are listening.
+/// Returns a process exit code: 0 after a clean drain or the end of a
+/// pipe-only run, 1 when a listener cannot bind, the spec names no
+/// transport, or the pipe fails.
 int serve_transports(const TransportSpec& spec, const ServerOptions& options);
 
 }  // namespace shlcp::svc

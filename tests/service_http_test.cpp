@@ -13,9 +13,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -28,6 +30,8 @@
 
 namespace shlcp::svc {
 namespace {
+
+namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------
 // Parser unit tests.
@@ -190,8 +194,9 @@ TEST(HttpParser, ConnectionHeaderAndVersionResolveKeepAlive) {
 // ---------------------------------------------------------------------
 // Gateway end to end.
 
-/// serve_http on 127.0.0.1:0 in a thread; the fixture tears the server
-/// down through the cancel token and asserts the drain exit code.
+/// The gateway on 127.0.0.1:0 in a thread; the fixture learns the bound
+/// port from the port file (the handshake ChildProcess uses), tears the
+/// server down through the cancel token and asserts the drain exit code.
 class HttpGateway : public ::testing::Test {
  protected:
   void SetUp() override { boot(); }
@@ -201,13 +206,22 @@ class HttpGateway : public ::testing::Test {
   void boot() {
     options_.cancel = &token_;
     options_.num_threads = 2;
-    options_.bound_port = &port_;
+    spec_.http = "127.0.0.1:0";
+    spec_.port_file =
+        (fs::path(::testing::TempDir()) / "shlcp_http.ports.json").string();
+    fs::remove(spec_.port_file);
     server_ = std::thread(
-        [this] { exit_code_ = serve_http("127.0.0.1", 0, options_); });
-    for (int i = 0; i < 500 && port_.load() == 0; ++i) {
+        [this] { exit_code_ = serve_transports(spec_, options_); });
+    for (int i = 0; i < 500 && !fs::exists(spec_.port_file); ++i) {
       ::usleep(10'000);
     }
-    ASSERT_GT(port_.load(), 0) << "gateway never bound";
+    std::ifstream in(spec_.port_file);
+    std::ostringstream ports;
+    ports << in.rdbuf();
+    if (!ports.str().empty()) {
+      port_ = static_cast<int>(Json::parse(ports.str()).at("http").as_int());
+    }
+    ASSERT_GT(port_, 0) << "gateway never bound";
   }
 
   void TearDown() override {
@@ -221,7 +235,7 @@ class HttpGateway : public ::testing::Test {
     EXPECT_GE(fd, 0);
     sockaddr_in addr = {};
     addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port_.load()));
+    addr.sin_port = htons(static_cast<std::uint16_t>(port_));
     inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                         sizeof(addr)),
@@ -276,7 +290,8 @@ class HttpGateway : public ::testing::Test {
 
   CancelToken token_;
   ServerOptions options_;
-  std::atomic<int> port_{0};
+  TransportSpec spec_;
+  int port_ = 0;
   std::thread server_;
   int exit_code_ = -1;
 };

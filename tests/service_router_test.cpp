@@ -126,7 +126,7 @@ Json coloring_params(const std::string& instance, std::int64_t k) {
   return params;
 }
 
-/// Two serve_socket backends plus a Router over them; the fixture
+/// Two unix-socket backends plus a Router over them; the fixture
 /// joins everything down even when a test kills one backend early.
 class RouterFleet : public ::testing::Test {
  protected:
@@ -140,7 +140,9 @@ class RouterFleet : public ::testing::Test {
       options_[b].cancel = &tokens_[b];
       options_[b].num_threads = 2;
       servers_[b] = std::thread([this, b] {
-        exit_codes_[b] = serve_socket(paths_[b], options_[b]);
+        TransportSpec spec;
+        spec.unix_path = paths_[b];
+        exit_codes_[b] = serve_transports(spec, options_[b]);
       });
     }
     RouterOptions router_options;

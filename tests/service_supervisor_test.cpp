@@ -226,7 +226,7 @@ Json coloring_params(const std::string& instance, std::int64_t k) {
   return params;
 }
 
-/// Two live serve_socket backends behind a Router, as in
+/// Two live unix-socket backends behind a Router, as in
 /// service_router_test.cpp -- here to prove quarantine semantics.
 class QuarantineFleet : public ::testing::Test {
  protected:
@@ -240,7 +240,9 @@ class QuarantineFleet : public ::testing::Test {
       options_[b].cancel = &tokens_[b];
       options_[b].num_threads = 2;
       servers_[b] = std::thread([this, b] {
-        exit_codes_[b] = serve_socket(paths_[b], options_[b]);
+        TransportSpec spec;
+        spec.unix_path = paths_[b];
+        exit_codes_[b] = serve_transports(spec, options_[b]);
       });
     }
     RouterOptions router_options;

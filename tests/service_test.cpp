@@ -12,14 +12,19 @@
 //   * the pipe server's request/response framing and its drain
 //     behavior: after a cancel trip, no request is ever answered ok.
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -706,6 +711,15 @@ struct Pipe {
   }
 };
 
+/// Pipe mode over two pipes: the server reads to_server, writes
+/// from_server.
+TransportSpec pipe_spec(const Pipe& to_server, const Pipe& from_server) {
+  TransportSpec spec;
+  spec.pipe_in = to_server.read_fd;
+  spec.pipe_out = from_server.write_fd;
+  return spec;
+}
+
 /// Reads one frame from fd, polling up to timeout_ms. Returns nullopt
 /// on timeout or EOF.
 std::optional<std::string> read_frame(int fd, FrameReader& reader,
@@ -736,13 +750,12 @@ TEST(PipeServer, AnswersRequestsAndExitsCleanlyOnEof) {
   Pipe from_server;
   CancelToken token;
   ServerOptions options;
-  options.in_fd = to_server.read_fd;
-  options.out_fd = from_server.write_fd;
   options.cancel = &token;
   options.num_threads = 2;
 
   int exit_code = -1;
-  std::thread server([&] { exit_code = serve_pipe(options); });
+  const TransportSpec spec = pipe_spec(to_server, from_server);
+  std::thread server([&] { exit_code = serve_transports(spec, options); });
 
   FrameReader reader;
   const Json info = make_request(1, "info", Json::object());
@@ -777,13 +790,12 @@ TEST(PipeServer, MalformedFrameGetsBadFrameResponse) {
   Pipe to_server;
   Pipe from_server;
   ServerOptions options;
-  options.in_fd = to_server.read_fd;
-  options.out_fd = from_server.write_fd;
   CancelToken token;
   options.cancel = &token;
 
   int exit_code = -1;
-  std::thread server([&] { exit_code = serve_pipe(options); });
+  const TransportSpec spec = pipe_spec(to_server, from_server);
+  std::thread server([&] { exit_code = serve_transports(spec, options); });
 
   const std::string garbage = "???\n{}\n";
   ASSERT_TRUE(write(to_server.write_fd, garbage.data(), garbage.size()) > 0);
@@ -805,12 +817,11 @@ TEST(PipeServer, DrainsOnCancelWithoutAcceptingNewWork) {
   Pipe from_server;
   CancelToken token;
   ServerOptions options;
-  options.in_fd = to_server.read_fd;
-  options.out_fd = from_server.write_fd;
   options.cancel = &token;
 
   int exit_code = -1;
-  std::thread server([&] { exit_code = serve_pipe(options); });
+  const TransportSpec spec = pipe_spec(to_server, from_server);
+  std::thread server([&] { exit_code = serve_transports(spec, options); });
 
   FrameReader reader;
   const std::string warmup =
@@ -836,6 +847,29 @@ TEST(PipeServer, DrainsOnCancelWithoutAcceptingNewWork) {
   }
 }
 
+// The pipe is the daemon's only client: once its reader is gone, no
+// reply can be delivered, and the server reports a transport failure.
+TEST(PipeServer, ClosedOutputExitsOne) {
+  Pipe to_server;
+  Pipe from_server;
+  CancelToken token;
+  ServerOptions options;
+  options.cancel = &token;
+  ::close(from_server.read_fd);
+  from_server.read_fd = -1;
+
+  int exit_code = -1;
+  const TransportSpec spec = pipe_spec(to_server, from_server);
+  std::thread server([&] { exit_code = serve_transports(spec, options); });
+
+  const std::string frame =
+      encode_frame(make_request(1, "info", Json::object()).dump());
+  ASSERT_EQ(::write(to_server.write_fd, frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size()));
+  server.join();
+  EXPECT_EQ(exit_code, 1);
+}
+
 // ---------------------------------------------------------------------
 // Overload shedding (DESIGN.md §14).
 
@@ -857,15 +891,14 @@ TEST(PipeServer, ShedsPastQueueCapWithRetryAfterHint) {
   Pipe from_server;
   CancelToken token;
   ServerOptions options;
-  options.in_fd = to_server.read_fd;
-  options.out_fd = from_server.write_fd;
   options.cancel = &token;
   options.num_threads = 2;
   options.queue_max = 2;
   options.conn_inflight_max = 0;
 
   int exit_code = -1;
-  std::thread server([&] { exit_code = serve_pipe(options); });
+  const TransportSpec spec = pipe_spec(to_server, from_server);
+  std::thread server([&] { exit_code = serve_transports(spec, options); });
 
   write_burst(to_server.write_fd, 5);
   FrameReader reader;
@@ -915,14 +948,13 @@ TEST(PipeServer, ShedsPastConnectionInflightCap) {
   Pipe from_server;
   CancelToken token;
   ServerOptions options;
-  options.in_fd = to_server.read_fd;
-  options.out_fd = from_server.write_fd;
   options.cancel = &token;
   options.queue_max = 0;       // the global cap must not be the trigger
   options.conn_inflight_max = 1;
 
   int exit_code = -1;
-  std::thread server([&] { exit_code = serve_pipe(options); });
+  const TransportSpec spec = pipe_spec(to_server, from_server);
+  std::thread server([&] { exit_code = serve_transports(spec, options); });
 
   write_burst(to_server.write_fd, 3);
   FrameReader reader;
@@ -966,6 +998,27 @@ TEST(PipeServer, ShedsPastConnectionInflightCap) {
 // ---------------------------------------------------------------------
 // Socket server end to end.
 
+/// Connects to the unix socket at `path`, retrying while the server
+/// thread has not bound it yet. Returns -1 if it never comes up.
+int connect_unix(const std::string& path) {
+  sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+  for (int attempt = 0; attempt < 250; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd >= 0 &&
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    ::usleep(20'000);  // server may not have bound yet
+  }
+  return -1;
+}
+
 TEST(SocketServer, ServesSequentialConnectionsAndExitsOnCancel) {
   const std::string path =
       (fs::path(::testing::TempDir()) / "shlcp_test.sock").string();
@@ -975,31 +1028,14 @@ TEST(SocketServer, ServesSequentialConnectionsAndExitsOnCancel) {
   options.num_threads = 2;
 
   int exit_code = -1;
-  std::thread server([&] { exit_code = serve_socket(path, options); });
-
-  const auto connect_client = [&]() -> int {
-    sockaddr_un addr = {};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
-    for (int attempt = 0; attempt < 250; ++attempt) {
-      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd >= 0 &&
-          ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof(addr)) == 0) {
-        return fd;
-      }
-      if (fd >= 0) {
-        ::close(fd);
-      }
-      ::usleep(20'000);  // server may not have bound yet
-    }
-    return -1;
-  };
+  TransportSpec spec;
+  spec.unix_path = path;
+  std::thread server([&] { exit_code = serve_transports(spec, options); });
 
   // Sequential connect/request/disconnect rounds: round 2+ exercises
   // accept after earlier slots were closed and reclaimed.
   for (std::int64_t round = 0; round < 3; ++round) {
-    const int fd = connect_client();
+    const int fd = connect_unix(path);
     ASSERT_GE(fd, 0);
     const std::string frame =
         encode_frame(make_request(round, "info", Json::object()).dump());
@@ -1018,6 +1054,107 @@ TEST(SocketServer, ServesSequentialConnectionsAndExitsOnCancel) {
   EXPECT_EQ(exit_code, 0);
   EXPECT_FALSE(fs::exists(path));  // unlinked on exit
 }
+
+// One end-of-stream rule for every connection: a client that pipelines
+// a burst spanning several server reads, then half-closes, gets exactly
+// one reply per request (ok or "overloaded") before the server closes.
+// Parameter: true = unix socket, false = pipe.
+class HalfClose : public ::testing::TestWithParam<bool> {};
+
+TEST_P(HalfClose, EveryPipelinedRequestIsAnsweredOnce) {
+  constexpr std::int64_t kRequests = 4000;
+  std::string burst;
+  for (std::int64_t id = 0; id < kRequests; ++id) {
+    burst += encode_frame(make_request(id, "health", Json::object()).dump());
+  }
+  ASSERT_GT(burst.size(), 64u << 10);  // more than one server read
+
+  const bool socket_mode = GetParam();
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "shlcp_half.sock").string();
+  Pipe to_server;
+  Pipe from_server;
+  CancelToken token;
+  ServerOptions options;
+  options.cancel = &token;
+  options.num_threads = 2;
+  TransportSpec spec = pipe_spec(to_server, from_server);
+  if (socket_mode) {
+    spec = TransportSpec{};
+    spec.unix_path = path;
+  }
+
+  int exit_code = -1;
+  std::thread server([&] { exit_code = serve_transports(spec, options); });
+  const int fd = socket_mode ? connect_unix(path) : -1;
+  if (socket_mode) {
+    ASSERT_GE(fd, 0);
+  }
+  const int write_fd = socket_mode ? fd : to_server.write_fd;
+  const int read_fd = socket_mode ? fd : from_server.read_fd;
+
+  // The socket client reads only after its half-close, so its replies
+  // pile up in the server's write buffer when the EOF arrives. The
+  // pipe's writes block, so its client must read while it writes.
+  std::thread writer([&] {
+    std::size_t off = 0;
+    while (off < burst.size()) {
+      const ssize_t n =
+          ::write(write_fd, burst.data() + off, burst.size() - off);
+      ASSERT_GT(n, 0);
+      off += static_cast<std::size_t>(n);
+    }
+    if (socket_mode) {
+      ::shutdown(fd, SHUT_WR);
+    } else {
+      ::close(to_server.write_fd);
+      to_server.write_fd = -1;
+    }
+  });
+
+  if (socket_mode) {
+    writer.join();
+  }
+
+  std::vector<int> answers(kRequests, 0);
+  FrameReader reader;
+  std::int64_t received = 0;
+  while (received < kRequests) {
+    const std::optional<std::string> body = read_frame(read_fd, reader);
+    if (!body.has_value()) {
+      break;
+    }
+    const Json resp = Json::parse(*body);
+    const std::int64_t id = resp.at("id").as_int();
+    ASSERT_TRUE(id >= 0 && id < kRequests) << resp.dump();
+    ++answers[static_cast<std::size_t>(id)];
+    ++received;
+    if (!resp.at("ok").as_bool()) {
+      EXPECT_EQ(error_code(resp), kErrOverloaded);
+    }
+  }
+  if (writer.joinable()) {
+    writer.join();
+  }
+  EXPECT_EQ(received, kRequests);
+  const auto not_once = std::count_if(answers.begin(), answers.end(),
+                                      [](int n) { return n != 1; });
+  EXPECT_EQ(not_once, 0) << "ids not answered exactly once";
+
+  if (socket_mode) {
+    token.request_stop(StopReason::kCancelRequested);
+  }
+  server.join();  // the pipe's EOF ends the server by itself
+  EXPECT_EQ(exit_code, 0);
+  if (fd >= 0) {
+    ::close(fd);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PipeAndSocket, HalfClose, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "UnixSocket" : "Pipe";
+                         });
 
 TEST(TransportServer, PortFileIsPublishedWhileServingAndRemovedOnDrain) {
   // The --port-file readiness handshake, both directions: published
@@ -1065,6 +1202,54 @@ TEST(TransportServer, PortFileIsPublishedWhileServingAndRemovedOnDrain) {
   EXPECT_FALSE(fs::exists(port_file))  // the satellite assertion
       << "graceful exit must remove the port file";
   EXPECT_FALSE(fs::exists(sock));
+}
+
+// Binds happen before serving: a listener that cannot bind fails the
+// whole call at once, publishes no port file, and leaves no socket file
+// from the listeners that did bind.
+TEST(TransportServer, ListenerThatCannotBindFailsFast) {
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  const std::string sock =
+      (fs::path(::testing::TempDir()) / "shlcp_busy.sock").string();
+  const std::string port_file =
+      (fs::path(::testing::TempDir()) / "shlcp_busy.ports.json").string();
+  fs::remove(port_file);
+  CancelToken token;
+  ServerOptions options;
+  options.cancel = &token;
+  TransportSpec spec;
+  spec.unix_path = sock;
+  spec.tcp = "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+  spec.port_file = port_file;
+
+  const auto start = std::chrono::steady_clock::now();
+  std::future<int> code = std::async(
+      std::launch::async, [&] { return serve_transports(spec, options); });
+  const bool returned =
+      code.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "serve_transports kept running";
+  if (!returned) {
+    token.request_stop(StopReason::kCancelRequested);
+  }
+  EXPECT_EQ(code.get(), 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+  EXPECT_FALSE(fs::exists(port_file));
+  EXPECT_FALSE(fs::exists(sock));
+  ::close(holder);
 }
 
 }  // namespace
