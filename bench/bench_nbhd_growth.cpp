@@ -49,7 +49,7 @@ void print_growth(bench::Report& report) {
   for (const Row& row : {Row{&revealing, "revealing"},
                          Row{&degree_one, "degree-one"},
                          Row{&even_cycle, "even-cycle"}}) {
-    for (int n = 2; n <= 4; ++n) {
+    for (int n = 2; n <= 5; ++n) {
       const auto graphs = promise_graphs(*row.lcp, n);
       if (graphs.empty()) {
         continue;

@@ -15,7 +15,8 @@ namespace {
 // frame in enumerate_frames / the sequential frame loops (never in
 // for_each_labeled_instance_in_frame, which the parallel workers call
 // per already-counted frame), and instances are counted in the shared
-// visit_frame_labelings product.
+// for_each_frame_labeling product, which the Instance stream and
+// NbhdGraph::absorb_frame both walk.
 metrics::Counter& frames_counter() {
   static metrics::Counter& c = metrics::counter("lcp.enumerate.frames");
   return c;
@@ -67,44 +68,51 @@ std::string describe_frame(int graph_index, const Graph& g,
                 show_vec(ids.raw()).c_str(), ids.bound(), port_lists.c_str());
 }
 
-/// The shared per-frame labeling product: builds the certificate spaces,
-/// enforces max_labelings_per_frame, and streams every labeling of the
-/// frame through `visit`.
-bool visit_frame_labelings(const Lcp& lcp, const Graph& g, int graph_index,
-                           const PortAssignment& ports,
-                           const IdAssignment& ids,
-                           const EnumOptions& options,
-                           const std::function<bool(const Instance&)>& visit) {
-  const int n = g.num_nodes();
-  std::vector<std::vector<Certificate>> spaces;
-  std::vector<int> radix;
-  std::uint64_t total = 1;
-  for (Node v = 0; v < n; ++v) {
-    spaces.push_back(lcp.certificate_space(g, ids, v));
-    SHLCP_CHECK(!spaces.back().empty());
-    radix.push_back(static_cast<int>(spaces.back().size()));
-    total *= static_cast<std::uint64_t>(spaces.back().size());
+/// The one description of a frame's labeling product: builds the
+/// certificate spaces and enforces max_labelings_per_frame.
+FrameLabelings describe_labelings(const Lcp& lcp, const Graph& g,
+                                  int graph_index, const PortAssignment& ports,
+                                  const IdAssignment& ids,
+                                  const EnumOptions& options) {
+  FrameLabelings frame;
+  frame.graph = &g;
+  frame.ports = &ports;
+  frame.ids = &ids;
+  for (Node v = 0; v < g.num_nodes(); ++v) {
+    frame.spaces.push_back(lcp.certificate_space(g, ids, v));
+    SHLCP_CHECK(!frame.spaces.back().empty());
+    frame.num_labelings *=
+        static_cast<std::uint64_t>(frame.spaces.back().size());
     SHLCP_CHECK_MSG(
-        total <= options.max_labelings_per_frame,
+        frame.num_labelings <= options.max_labelings_per_frame,
         format("labeling space exceeds max_labelings_per_frame (%llu) "
                "after node %d of frame: ",
                static_cast<unsigned long long>(options.max_labelings_per_frame),
                v) +
             describe_frame(graph_index, g, ports, ids));
   }
+  return frame;
+}
+
+/// Streams every labeling of the frame through `visit` as an Instance.
+bool visit_frame_labelings(const Lcp& lcp, const Graph& g, int graph_index,
+                           const PortAssignment& ports,
+                           const IdAssignment& ids,
+                           const EnumOptions& options,
+                           const std::function<bool(const Instance&)>& visit) {
+  const FrameLabelings frame =
+      describe_labelings(lcp, g, graph_index, ports, ids, options);
   Instance inst;
   inst.g = g;
   inst.ports = ports;
   inst.ids = ids;
-  return for_each_product(radix, [&](const std::vector<int>& digits) {
-    instances_counter().inc();
-    Labeling labels(n);
-    for (Node v = 0; v < n; ++v) {
-      labels.at(v) =
-          spaces[static_cast<std::size_t>(v)]
-                [static_cast<std::size_t>(digits[static_cast<std::size_t>(v)])];
+  inst.labels = Labeling(g.num_nodes());
+  return for_each_frame_labeling(frame, [&](const std::vector<int>& digits) {
+    for (Node v = 0; v < g.num_nodes(); ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      inst.labels.at(v) =
+          frame.spaces[i][static_cast<std::size_t>(digits[i])];
     }
-    inst.labels = std::move(labels);
     return visit(inst);
   });
 }
@@ -151,6 +159,34 @@ std::vector<std::uint64_t> frame_costs(const Lcp& lcp,
     costs.push_back(total);
   }
   return costs;
+}
+
+FrameLabelings frame_labelings(const Lcp& lcp, const std::vector<Graph>& graphs,
+                               const EnumFrame& frame,
+                               const EnumOptions& options) {
+  const auto gi = static_cast<std::size_t>(frame.graph_index);
+  SHLCP_CHECK(gi < graphs.size());
+  return describe_labelings(lcp, graphs[gi], frame.graph_index, frame.ports,
+                            frame.ids, options);
+}
+
+bool for_each_frame_labeling(
+    const FrameLabelings& frame,
+    const std::function<bool(const std::vector<int>&)>& visit) {
+  std::vector<int> radix;
+  for (const std::vector<Certificate>& space : frame.spaces) {
+    radix.push_back(static_cast<int>(space.size()));
+  }
+  // Counted once per frame: a per-labeling increment would be the only
+  // shared write in the parallel sweep's inner loop.
+  std::uint64_t visited = 0;
+  const bool finished =
+      for_each_product(radix, [&](const std::vector<int>& digits) {
+        ++visited;
+        return visit(digits);
+      });
+  instances_counter().add(visited);
+  return finished;
 }
 
 bool for_each_labeled_instance_in_frame(

@@ -122,6 +122,36 @@ std::vector<std::uint64_t> frame_costs(const Lcp& lcp,
                                        const std::vector<Graph>& graphs,
                                        const std::vector<EnumFrame>& frames);
 
+/// One frame's labeling product, described once for every consumer: the
+/// Instance stream below and NbhdGraph::absorb_frame. A labeling is a
+/// digit vector with digits[v] indexing spaces[v]; labelings run in
+/// mixed-radix product order with node 0 the fastest digit. The pointers
+/// borrow from the caller's graph family and frame.
+struct FrameLabelings {
+  const Graph* graph = nullptr;
+  const PortAssignment* ports = nullptr;
+  const IdAssignment* ids = nullptr;
+  /// spaces[v] = lcp.certificate_space(*graph, *ids, v); never empty.
+  std::vector<std::vector<Certificate>> spaces;
+  /// Product of the space sizes, at most max_labelings_per_frame.
+  std::uint64_t num_labelings = 1;
+};
+
+/// Describes one frame of the sweep over `graphs`. Throws CheckError,
+/// naming the frame, when its labeling product exceeds
+/// options.max_labelings_per_frame.
+FrameLabelings frame_labelings(const Lcp& lcp, const std::vector<Graph>& graphs,
+                               const EnumFrame& frame,
+                               const EnumOptions& options);
+
+/// Walks every labeling of `frame` in product order with one digit vector
+/// updated in place, and adds the labelings visited to
+/// lcp.enumerate.instances. Return false from `visit` to stop early;
+/// returns false iff stopped.
+bool for_each_frame_labeling(
+    const FrameLabelings& frame,
+    const std::function<bool(const std::vector<int>&)>& visit);
+
 /// Visits every labeling of one frame (labelings in certificate-space
 /// product order, as the sequential stream). Return false from `visit` to
 /// stop early; returns false iff stopped.

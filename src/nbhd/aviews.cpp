@@ -390,17 +390,10 @@ std::vector<std::uint64_t> maybe_frame_costs(
 
 NbhdGraph build_exhaustive(const Lcp& lcp, const std::vector<Graph>& graphs,
                            const EnumOptions& options) {
-  trace::Span span("nbhd.build");
-  span.note("threads", std::uint64_t{1});
-  NbhdGraph nbhd;
-  const auto yes_graphs = filter_yes_graphs(graphs, lcp.k());
-  for_each_labeled_instance(lcp, yes_graphs, options,
-                            [&](const Instance& inst) {
-                              nbhd.absorb(lcp.decoder(), inst, lcp.k());
-                              return true;
-                            });
-  finish_build(nbhd, span);
-  return nbhd;
+  ParallelEnumOptions sequential;
+  sequential.enums = options;
+  sequential.num_threads = 1;
+  return build_exhaustive(lcp, graphs, sequential);
 }
 
 NbhdGraph build_exhaustive(const Lcp& lcp, const std::vector<Graph>& graphs,
@@ -412,12 +405,10 @@ NbhdGraph build_exhaustive(const Lcp& lcp, const std::vector<Graph>& graphs,
         frames.size(), options,
         maybe_frame_costs(lcp, yes_graphs, frames, options),
         [&](std::size_t i, NbhdGraph& shard) {
-          for_each_labeled_instance_in_frame(
-              lcp, yes_graphs, frames[i], options.enums,
-              [&](const Instance& inst) {
-                shard.absorb(lcp.decoder(), inst, lcp.k());
-                return true;
-              });
+          shard.absorb_frame(
+              lcp.decoder(),
+              frame_labelings(lcp, yes_graphs, frames[i], options.enums),
+              lcp.k());
         });
   }
   ResumableBuildResult res = build_exhaustive_resumable(lcp, graphs, options);
@@ -436,21 +427,17 @@ ResumableBuildResult build_exhaustive_resumable(
       lcp, frames, maybe_frame_costs(lcp, yes_graphs, frames, options),
       options, "exhaustive",
       [&](const EnumFrame& frame, NbhdGraph& shard, BudgetTracker& tracker) {
-        std::uint64_t seen = 0;
-        const bool finished = for_each_labeled_instance_in_frame(
-            lcp, yes_graphs, frame, options.enums, [&](const Instance& inst) {
-              shard.absorb(lcp.decoder(), inst, lcp.k());
-              ++seen;
+        const FrameLabelings labelings =
+            frame_labelings(lcp, yes_graphs, frame, options.enums);
+        const std::uint64_t seen = shard.absorb_frame(
+            lcp.decoder(), labelings, lcp.k(), [&](std::uint64_t absorbed) {
               // Sampled mid-frame poll so hard stops land inside huge
               // labeling products, not only between frames.
-              if ((seen & 2047u) == 0 && tracker.should_stop() &&
-                  is_hard_stop(tracker.token().reason())) {
-                return false;
-              }
-              return true;
+              return (absorbed & 2047u) != 0 || !tracker.should_stop() ||
+                     !is_hard_stop(tracker.token().reason());
             });
         tracker.add_instances(seen);
-        return finished;
+        return seen == labelings.num_labelings;
       });
 }
 

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <utility>
 
+#include "lcp/enumerate.h"
 #include "util/format.h"
 #include "util/metrics.h"
+#include "views/extract.h"
 
 namespace shlcp {
 
@@ -30,7 +32,8 @@ class AbsorbTimer {
 
 }  // namespace
 
-std::pair<int, bool> NbhdGraph::find_or_register(View&& view,
+template <typename V>
+std::pair<int, bool> NbhdGraph::find_or_register(V&& view,
                                                 const Provenance& prov) {
   const std::uint64_t fp = view.fingerprint();
   auto [it, opened] = fp_head_.try_emplace(fp, -1);
@@ -45,7 +48,7 @@ std::pair<int, bool> NbhdGraph::find_or_register(View&& view,
   }
   const int idx = num_views();
   *slot = idx;  // before the push_backs: slot may point into fp_next_
-  views_.push_back(std::move(view));
+  views_.push_back(std::forward<V>(view));
   fp_next_.push_back(-1);
   view_prov_.push_back(prov);
   adj_.add_node();
@@ -84,6 +87,7 @@ int NbhdGraph::absorb(const Decoder& decoder, const Instance& inst, int k,
   std::vector<int> node_view(static_cast<std::size_t>(inst.num_nodes()), -1);
   for (Node v = 0; v < inst.num_nodes(); ++v) {
     View view = inst.view_of(v, r, anon);
+    ++stats_.view_extractions;
     if (!decoder.accept(view)) {
       continue;
     }
@@ -108,6 +112,135 @@ int NbhdGraph::absorb(const Decoder& decoder, const Instance& inst, int k,
         a, b, Provenance{instance_index, swap ? e.v : e.u, swap ? e.u : e.v});
   }
   return instance_index;
+}
+
+namespace {
+
+/// One node's view inside a frame, built once per frame: the view
+/// skeleton (graph, distances, ports, ids) whose labels are refilled in
+/// place per ball labeling, and the memo of ball labelings already
+/// judged.
+struct BallMemo {
+  View skeleton;
+  /// The ball N^r[v] in the view's local order (increasing node index).
+  std::vector<Node> members;
+  /// Mixed-radix stride of each member's digit in the memo index.
+  std::vector<std::uint64_t> strides;
+  /// Registered view index per ball labeling, kRejected, or kUnseen.
+  /// Empty when the ball holds every node with more than one
+  /// certificate: then no ball labeling repeats within the frame.
+  std::vector<int> memo;
+};
+
+constexpr int kUnseen = -2;
+constexpr int kRejected = -1;
+
+}  // namespace
+
+std::uint64_t NbhdGraph::absorb_frame(
+    const Decoder& decoder, const FrameLabelings& frame, int k,
+    const std::function<bool(std::uint64_t)>& keep_going) {
+  const AbsorbTimer timer(&stats_.absorb_ns);
+  const Graph& g = *frame.graph;
+  SHLCP_CHECK_MSG(is_k_colorable(g, k),
+                  "V(D, n) is built from yes-instances only");
+  const int n = g.num_nodes();
+  const int r = decoder.radius();
+  const IdAssignment* ids = decoder.anonymous() ? nullptr : frame.ids;
+
+  std::vector<BallMemo> balls(static_cast<std::size_t>(n));
+  {
+    Labeling first(n);
+    for (Node v = 0; v < n; ++v) {
+      first.at(v) = frame.spaces[static_cast<std::size_t>(v)].front();
+    }
+    for (Node v = 0; v < n; ++v) {
+      BallMemo& ball = balls[static_cast<std::size_t>(v)];
+      ball.skeleton = extract_view(g, *frame.ports, ids, first, r, v);
+      const std::vector<int> dist = bfs_distances(g, v);
+      std::uint64_t size = 1;
+      std::uint64_t outside = 1;
+      for (Node u = 0; u < n; ++u) {
+        const int du = dist[static_cast<std::size_t>(u)];
+        const auto radix = static_cast<std::uint64_t>(
+            frame.spaces[static_cast<std::size_t>(u)].size());
+        if (du != -1 && du <= r) {
+          ball.members.push_back(u);
+          ball.strides.push_back(size);
+          size *= radix;
+        } else {
+          outside *= radix;
+        }
+      }
+      SHLCP_CHECK(static_cast<int>(ball.members.size()) ==
+                  ball.skeleton.num_nodes());
+      if (outside > 1) {
+        ball.memo.assign(static_cast<std::size_t>(size), kUnseen);
+      }
+    }
+  }
+
+  // The miss path: absorb()'s per-node step on the skeleton, labeled in
+  // place with the current ball labeling.
+  const auto judge = [&](BallMemo& ball, const std::vector<int>& digits,
+                         const Provenance& prov) {
+    View& view = ball.skeleton;
+    for (std::size_t j = 0; j < ball.members.size(); ++j) {
+      const auto u = static_cast<std::size_t>(ball.members[j]);
+      view.labels[j] = frame.spaces[u][static_cast<std::size_t>(digits[u])];
+    }
+    view.invalidate_canonical_cache();
+    ++stats_.view_extractions;
+    if (!decoder.accept(view)) {
+      return kRejected;
+    }
+    const auto [idx, fresh] = find_or_register(std::as_const(view), prov);
+    if (!fresh) {
+      ++stats_.views_deduped;
+    }
+    return idx;
+  };
+
+  const std::vector<Edge> edges = g.edges();
+  std::vector<int> node_view(static_cast<std::size_t>(n), kRejected);
+  std::uint64_t absorbed = 0;
+  for_each_frame_labeling(frame, [&](const std::vector<int>& digits) {
+    const int instance_index = next_instance_++;
+    for (Node v = 0; v < n; ++v) {
+      BallMemo& ball = balls[static_cast<std::size_t>(v)];
+      int& out = node_view[static_cast<std::size_t>(v)];
+      if (ball.memo.empty()) {
+        out = judge(ball, digits, Provenance{instance_index, v, -1});
+        continue;
+      }
+      std::uint64_t key = 0;
+      for (std::size_t j = 0; j < ball.members.size(); ++j) {
+        key += static_cast<std::uint64_t>(
+                   digits[static_cast<std::size_t>(ball.members[j])]) *
+               ball.strides[j];
+      }
+      int& slot = ball.memo[static_cast<std::size_t>(key)];
+      if (slot == kUnseen) {
+        slot = judge(ball, digits, Provenance{instance_index, v, -1});
+      } else if (slot != kRejected) {
+        ++stats_.views_deduped;
+      }
+      out = slot;
+    }
+    for (const Edge& e : edges) {
+      const int a = node_view[static_cast<std::size_t>(e.u)];
+      const int b = node_view[static_cast<std::size_t>(e.v)];
+      if (a == kRejected || b == kRejected) {
+        continue;
+      }
+      const bool swap = a > b;
+      register_edge(
+          a, b, Provenance{instance_index, swap ? e.v : e.u, swap ? e.u : e.v});
+    }
+    ++absorbed;
+    return !keep_going || keep_going(absorbed);
+  });
+  return absorbed;
 }
 
 void NbhdGraph::merge(NbhdGraph&& other) {
@@ -173,6 +306,7 @@ void NbhdGraph::merge(NbhdGraph&& other) {
 
   next_instance_ += other.next_instance_;
   stats_.views_deduped += other.stats_.views_deduped;
+  stats_.view_extractions += other.stats_.view_extractions;
   stats_.absorb_ns += other.stats_.absorb_ns;
   other = NbhdGraph{};
 }
@@ -395,6 +529,7 @@ Json NbhdGraph::to_json() const {
   out["next_instance"] = next_instance_;
   Json stats = Json::object();
   stats["views_deduped"] = stats_.views_deduped;
+  stats["view_extractions"] = stats_.view_extractions;
   stats["absorb_ns"] = stats_.absorb_ns;
   out["stats"] = std::move(stats);
   return out;
@@ -438,6 +573,11 @@ NbhdGraph NbhdGraph::from_json(const Json& j) {
   }
   out.next_instance_ = static_cast<int>(j.at("next_instance").as_int());
   out.stats_.views_deduped = j.at("stats").at("views_deduped").as_uint();
+  // Absent from states written before the count existed.
+  out.stats_.view_extractions =
+      j.at("stats").contains("view_extractions")
+          ? j.at("stats").at("view_extractions").as_uint()
+          : 0;
   out.stats_.absorb_ns = j.at("stats").at("absorb_ns").as_uint();
   return out;
 }
@@ -449,6 +589,8 @@ void publish_build_metrics(const NbhdGraph& nbhd) {
   metrics::counter("nbhd.build.views")
       .add(static_cast<std::uint64_t>(nbhd.num_views()));
   metrics::counter("nbhd.build.views_deduped").add(nbhd.stats().views_deduped);
+  metrics::counter("nbhd.build.view_extractions")
+      .add(nbhd.stats().view_extractions);
   metrics::counter("nbhd.build.edges")
       .add(static_cast<std::uint64_t>(nbhd.num_edges()));
   metrics::histogram("nbhd.build.absorb_ns").record(nbhd.stats().absorb_ns);

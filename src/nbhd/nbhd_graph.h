@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -35,6 +36,8 @@
 #include "views/canonical.h"
 
 namespace shlcp {
+
+struct FrameLabelings;
 
 /// Where a view / compatibility edge was first seen: an instance index
 /// (assigned by absorption order) and the node(s) realizing it. The
@@ -60,6 +63,10 @@ struct NbhdStats {
   /// Accepting-view registrations that hit an already-registered view.
   /// Total registrations = num_views() + views_deduped.
   std::uint64_t views_deduped = 0;
+  /// View extractions run through the decoder (extract + accept): one
+  /// per node per instance in absorb(), one per distinct (node, ball
+  /// labeling) in absorb_frame().
+  std::uint64_t view_extractions = 0;
   /// Wall time spent inside absorb() (and merge()), nanoseconds.
   std::uint64_t absorb_ns = 0;
 };
@@ -75,6 +82,20 @@ class NbhdGraph {
   /// instance index assigned for provenance.
   int absorb(const Decoder& decoder, const Instance& inst, int k,
              bool require_yes = true);
+
+  /// Absorbs every labeling of one frame in product order, with exactly
+  /// the result of calling absorb(decoder, inst, k) on each labeled
+  /// instance in turn: the same views in the same registration order, the
+  /// same edges and first-seen provenance, the same views_deduped. A
+  /// radius-r view depends only on the certificates in its ball N^r[v],
+  /// so each node's view is extracted and judged once per ball labeling
+  /// and later visits of that ball labeling reuse the verdict (see
+  /// DESIGN.md §13). `keep_going(absorbed)`, when set, is asked after
+  /// each labeling; returning false stops the frame there. Returns the
+  /// number of labelings absorbed, frame.num_labelings iff not stopped.
+  std::uint64_t absorb_frame(
+      const Decoder& decoder, const FrameLabelings& frame, int k,
+      const std::function<bool(std::uint64_t)>& keep_going = {});
 
   /// Folds `other` into this graph as if other's instances had been
   /// absorbed here, in order, right after this graph's own: other's views
@@ -170,9 +191,10 @@ class NbhdGraph {
   /// Fingerprint-gated registration: looks `view` up via its cached
   /// 64-bit fingerprint and the per-fingerprint chain, comparing
   /// candidates with views_structurally_equal (exact; no canonical code
-  /// materialized). Registers the view with `prov` when absent. Returns
-  /// (view index, freshly-registered).
-  std::pair<int, bool> find_or_register(View&& view, const Provenance& prov);
+  /// materialized). Registers the view with `prov` when absent, moving or
+  /// copying it per `V`. Returns (view index, freshly-registered).
+  template <typename V>
+  std::pair<int, bool> find_or_register(V&& view, const Provenance& prov);
 
   /// Registers the compatibility edge {a, b} (or the loop when a == b)
   /// and its first-seen provenance, preserving an existing record.
@@ -195,7 +217,8 @@ class NbhdGraph {
 };
 
 /// Publishes a completed build's totals to the metrics registry:
-/// counters nbhd.build.{builds,instances,views,views_deduped,edges} and
+/// counters nbhd.build.{builds,instances,views,views_deduped,
+/// view_extractions,edges} and
 /// histogram nbhd.build.absorb_ns. The aviews.h builders call this once
 /// per build on the final (merged) graph, so sequential and parallel
 /// builds of the same sweep publish identical counter values.

@@ -111,19 +111,39 @@ int serve_transports(const TransportSpec& spec, const ServerOptions& options) {
     serving.push_back(format("%s %s:%d", name, host.c_str(), bound));
   }
 
+  if (!spec.port_file.empty()) {
+    // Every listener is listening, so a client that reads the file can
+    // connect at once. A file that cannot be published fails the call
+    // like a listener that cannot bind.
+    const std::string tmp = spec.port_file + ".tmp";
+    std::error_code ec;
+    {
+      errno = 0;
+      std::ofstream out(tmp, std::ios::trunc);
+      out << ports.dump() << "\n";
+      out.close();
+      if (!out) {
+        ec = std::error_code(errno != 0 ? errno : EIO, std::generic_category());
+      }
+    }
+    if (!ec) {
+      std::filesystem::rename(tmp, spec.port_file, ec);  // atomic publish
+    }
+    if (ec) {
+      std::fprintf(stderr, "%s: cannot publish port file %s: %s\n",
+                   program_invocation_short_name, spec.port_file.c_str(),
+                   ec.message().c_str());
+      std::error_code ignored;
+      std::filesystem::remove(tmp, ignored);
+      for (StreamListener& listener : listeners) {
+        listener.close();
+      }
+      return 1;
+    }
+  }
   for (const std::string& line : serving) {
     std::fprintf(stderr, "%s: serving %s\n", program_invocation_short_name,
                  line.c_str());
-  }
-  if (!spec.port_file.empty()) {
-    // Every listener is listening, so a client that reads the file can
-    // connect at once.
-    const std::string tmp = spec.port_file + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      out << ports.dump() << "\n";
-    }
-    std::filesystem::rename(tmp, spec.port_file);  // atomic publish
   }
 
   const int code = serve_stream(std::move(listeners), spec.pipe_in,

@@ -30,6 +30,7 @@
 #include "graph/generators.h"
 #include "lcp/audit.h"
 #include "nbhd/aviews.h"
+#include "nbhd_test_util.h"
 #include "nbhd/checkpoint.h"
 #include "sim/engine.h"
 #include "util/budget.h"
@@ -43,52 +44,8 @@ namespace {
 namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
-// Helpers (shared with tests/parallel_enum_test.cpp by convention).
-
-/// Full structural comparison: views in registration order, adjacency,
-/// odd-cycle verdict, per-view and per-edge provenance, and the
-/// deterministic half of the stats.
-void expect_identical(const NbhdGraph& seq, const NbhdGraph& par) {
-  ASSERT_EQ(seq.num_views(), par.num_views());
-  for (int i = 0; i < seq.num_views(); ++i) {
-    EXPECT_TRUE(seq.view(i) == par.view(i)) << "view " << i;
-    EXPECT_EQ(seq.view_provenance(i).instance, par.view_provenance(i).instance)
-        << "view " << i;
-    EXPECT_EQ(seq.view_provenance(i).node, par.view_provenance(i).node)
-        << "view " << i;
-  }
-  EXPECT_TRUE(seq.graph() == par.graph());
-  const auto seq_cycle = seq.odd_cycle();
-  const auto par_cycle = par.odd_cycle();
-  ASSERT_EQ(seq_cycle.has_value(), par_cycle.has_value());
-  if (seq_cycle.has_value()) {
-    EXPECT_EQ(*seq_cycle, *par_cycle);
-  }
-  for (const Edge& e : seq.graph().edges()) {
-    const Provenance* ps = seq.edge_provenance(e.u, e.v);
-    const Provenance* pp = par.edge_provenance(e.u, e.v);
-    ASSERT_NE(ps, nullptr) << "edge " << e.u << "," << e.v;
-    ASSERT_NE(pp, nullptr) << "edge " << e.u << "," << e.v;
-    EXPECT_EQ(ps->instance, pp->instance) << "edge " << e.u << "," << e.v;
-    EXPECT_EQ(ps->node, pp->node) << "edge " << e.u << "," << e.v;
-    EXPECT_EQ(ps->other, pp->other) << "edge " << e.u << "," << e.v;
-  }
-  EXPECT_EQ(seq.num_instances_absorbed(), par.num_instances_absorbed());
-  EXPECT_EQ(seq.stats().views_deduped, par.stats().views_deduped);
-}
-
-std::vector<Graph> connected_bipartite(int max_n) {
-  std::vector<Graph> graphs;
-  for (int n = 2; n <= max_n; ++n) {
-    for_each_connected_graph(n, [&](const Graph& g) {
-      if (is_bipartite(g)) {
-        graphs.push_back(g);
-      }
-      return true;
-    });
-  }
-  return graphs;
-}
+// Helpers (expect_identical and connected_bipartite are in
+// nbhd_test_util.h).
 
 /// A fresh (empty) checkpoint directory under the test temp dir.
 std::string fresh_ckpt_dir(const std::string& name) {

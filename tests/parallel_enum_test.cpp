@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -23,6 +24,7 @@
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "nbhd/aviews.h"
+#include "nbhd_test_util.h"
 #include "nbhd/witness.h"
 #include "util/parallel.h"
 
@@ -408,51 +410,6 @@ TEST(ParallelTest, ResolveNumThreads) {
 // ---------------------------------------------------------------------------
 // Determinism of the parallel build.
 
-/// Full structural comparison: views in registration order, adjacency,
-/// odd-cycle verdict, per-view and per-edge provenance, and the
-/// deterministic half of the stats.
-void expect_identical(const NbhdGraph& seq, const NbhdGraph& par) {
-  ASSERT_EQ(seq.num_views(), par.num_views());
-  for (int i = 0; i < seq.num_views(); ++i) {
-    EXPECT_TRUE(seq.view(i) == par.view(i)) << "view " << i;
-    EXPECT_EQ(seq.view_provenance(i).instance, par.view_provenance(i).instance)
-        << "view " << i;
-    EXPECT_EQ(seq.view_provenance(i).node, par.view_provenance(i).node)
-        << "view " << i;
-  }
-  EXPECT_TRUE(seq.graph() == par.graph());
-  const auto seq_cycle = seq.odd_cycle();
-  const auto par_cycle = par.odd_cycle();
-  ASSERT_EQ(seq_cycle.has_value(), par_cycle.has_value());
-  if (seq_cycle.has_value()) {
-    EXPECT_EQ(*seq_cycle, *par_cycle);
-  }
-  for (const Edge& e : seq.graph().edges()) {
-    const Provenance* ps = seq.edge_provenance(e.u, e.v);
-    const Provenance* pp = par.edge_provenance(e.u, e.v);
-    ASSERT_NE(ps, nullptr) << "edge " << e.u << "," << e.v;
-    ASSERT_NE(pp, nullptr) << "edge " << e.u << "," << e.v;
-    EXPECT_EQ(ps->instance, pp->instance) << "edge " << e.u << "," << e.v;
-    EXPECT_EQ(ps->node, pp->node) << "edge " << e.u << "," << e.v;
-    EXPECT_EQ(ps->other, pp->other) << "edge " << e.u << "," << e.v;
-  }
-  EXPECT_EQ(seq.num_instances_absorbed(), par.num_instances_absorbed());
-  EXPECT_EQ(seq.stats().views_deduped, par.stats().views_deduped);
-}
-
-std::vector<Graph> connected_bipartite(int max_n) {
-  std::vector<Graph> graphs;
-  for (int n = 2; n <= max_n; ++n) {
-    for_each_connected_graph(n, [&](const Graph& g) {
-      if (is_bipartite(g)) {
-        graphs.push_back(g);
-      }
-      return true;
-    });
-  }
-  return graphs;
-}
-
 ParallelEnumOptions par_options(const EnumOptions& enums, int threads) {
   ParallelEnumOptions options;
   options.enums = enums;
@@ -677,6 +634,7 @@ TEST(ParallelEnumTest, LabelingBoundErrorNamesTheFrame) {
   const std::vector<Graph> graphs{make_path(2), make_path(4)};
   EnumOptions options;
   options.max_labelings_per_frame = 10;  // 3^2 fits, 3^4 does not
+  std::string stream_msg;
   try {
     for_each_labeled_instance(lcp, graphs, options,
                               [](const Instance&) { return true; });
@@ -689,6 +647,23 @@ TEST(ParallelEnumTest, LabelingBoundErrorNamesTheFrame) {
     EXPECT_NE(msg.find("4 nodes"), std::string::npos) << msg;
     EXPECT_NE(msg.find("ids=[1, 2, 3, 4]"), std::string::npos) << msg;
     EXPECT_NE(msg.find("ports="), std::string::npos) << msg;
+    stream_msg = msg;
+  }
+  // Both build_exhaustive overloads describe the frame with the same
+  // helper, so they raise the very same error.
+  ParallelEnumOptions parallel;
+  parallel.enums = options;
+  parallel.num_threads = 2;
+  const std::vector<std::function<void()>> builds{
+      [&] { build_exhaustive(lcp, graphs, options); },
+      [&] { build_exhaustive(lcp, graphs, parallel); }};
+  for (const auto& build : builds) {
+    try {
+      build();
+      FAIL() << "expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_EQ(std::string(e.what()), stream_msg);
+    }
   }
 }
 

@@ -423,6 +423,30 @@ TEST(ChildProcess, StopDrainsALiveShlcpdToExitZero) {
   EXPECT_FALSE(fs::exists(port_file)) << "a clean exit removes it";
 }
 
+// A port file that cannot be published fails shlcpd like a listener
+// that cannot bind: exit 1 with a message, and no socket file left.
+TEST(ChildProcess, UnpublishablePortFileExitsOneAndLeavesNoSocket) {
+  const std::string shlcpd = Supervisor::find_shlcpd(nullptr);
+  if (shlcpd.empty()) {
+    GTEST_SKIP() << "no shlcpd binary discoverable";
+  }
+  const std::string dir = scratch_dir("shlcp_child_no_port_dir");
+  const std::string socket_path = dir + "/d.sock";
+  ChildProcess child;
+  EXPECT_FALSE(child.spawn_ready({shlcpd, "--socket", socket_path},
+                                 dir + "/no/such/dir/ports.json",
+                                 ChildStdio{dir + "/d.log"}, 10'000));
+  EXPECT_EQ(child.last_exit(), 1);
+  EXPECT_FALSE(fs::exists(socket_path));
+  std::string log;
+  if (std::FILE* f = std::fopen((dir + "/d.log").c_str(), "r")) {
+    char buf[4096];
+    log.assign(buf, std::fread(buf, 1, sizeof buf, f));
+    std::fclose(f);
+  }
+  EXPECT_NE(log.find("cannot publish port file"), std::string::npos) << log;
+}
+
 // A SIGKILLed shlcpd leaves its port file behind. The next readiness
 // wait must not take it for the new child's, even when the address in
 // it answers: here a second daemon serves the old socket path, and the
