@@ -121,6 +121,21 @@ SessionTable::CloseResult SessionTable::close(const std::string& id) {
   return res;
 }
 
+void SessionTable::release_owner(std::int64_t owner) {
+  if (owner < 0) {
+    return;
+  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (per_owner_.erase(owner) == 0) {
+    return;  // no live session of this owner
+  }
+  for (auto& [id, entry] : sessions_) {
+    if (entry.owner == owner) {
+      entry.owner = -1;
+    }
+  }
+}
+
 Json SessionTable::describe(const std::string& id) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = sessions_.find(id);

@@ -9,8 +9,10 @@
 //     next table operation (steps refresh the clock). The clock is
 //     injectable so tests and the bench drive expiry deterministically.
 //   - caps: a global cap and a per-owner cap (the owner is the
-//     transport connection slot; owner < 0 -- in-process callers --
-//     is exempt from the per-owner cap). A refused open feeds the
+//     transport connection's id; owner < 0 -- in-process callers --
+//     is exempt from the per-owner cap). When the connection closes,
+//     release_owner() frees its count and detaches its live sessions,
+//     which then finish or expire like any other. A refused open feeds the
 //     service's overload-shed path (wire error "overloaded" with a
 //     retry_after_ms hint).
 //   - exact accounting: every successful open ends in exactly one of
@@ -89,6 +91,11 @@ class SessionTable {
     Json final_state;  // describe() of the session at close
   };
   CloseResult close(const std::string& id);
+
+  /// Forgets `owner`: its per-owner count is dropped and its live
+  /// sessions become ownerless (they still count against the global
+  /// cap, and keep their place in the accounting identity).
+  void release_owner(std::int64_t owner);
 
   /// describe() of a live session (session_open echoes it).
   [[nodiscard]] Json describe(const std::string& id) const;

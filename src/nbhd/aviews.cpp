@@ -177,11 +177,6 @@ ResumableBuildResult run_resumable(const Lcp& lcp,
   const auto chunk =
       static_cast<std::size_t>(std::max(1, options.frames_per_chunk));
 
-  CancelToken local_token;
-  CancelToken& token =
-      options.cancel != nullptr ? *options.cancel : local_token;
-  BudgetTracker tracker(options.budget, token);
-
   ResumableBuildResult result;
   result.num_frames = num_frames;
 
@@ -201,6 +196,13 @@ ResumableBuildResult run_resumable(const Lcp& lcp,
     expected.num_frames = num_frames;
     expected.frames_digest = frames_digest(frames);
   }
+
+  // The budget clock starts here, after the manifest's one-off setup
+  // (checkpoint_git_rev runs a subprocess on first use).
+  CancelToken local_token;
+  CancelToken& token =
+      options.cancel != nullptr ? *options.cancel : local_token;
+  BudgetTracker tracker(options.budget, token);
 
   trace::Span span("nbhd.build");
   span.note("items", static_cast<std::uint64_t>(num_frames));

@@ -18,21 +18,27 @@ std::string fnv1a_hex(std::string_view bytes) {
                                    fnv1a64(bytes, kFnvTruncatedBasis)));
 }
 
-std::string checkpoint_git_rev() {
-  std::FILE* pipe = ::popen("git describe --always --dirty 2>/dev/null", "r");
-  if (pipe == nullptr) {
-    return "unknown";
-  }
-  char buf[256];
-  std::string out;
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
-    out += buf;
-  }
-  ::pclose(pipe);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out.empty() ? "unknown" : out;
+const std::string& checkpoint_git_rev() {
+  // One `git describe` per process: the subprocess costs milliseconds,
+  // and the working tree does not change under a running build.
+  static const std::string rev = [] {
+    std::FILE* pipe =
+        ::popen("git describe --always --dirty 2>/dev/null", "r");
+    if (pipe == nullptr) {
+      return std::string("unknown");
+    }
+    char buf[256];
+    std::string out;
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+      out += buf;
+    }
+    ::pclose(pipe);
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+      out.pop_back();
+    }
+    return out.empty() ? std::string("unknown") : out;
+  }();
+  return rev;
 }
 
 std::string frames_digest(const std::vector<EnumFrame>& frames) {

@@ -51,8 +51,9 @@ inline constexpr const char* kCheckpointSchema = "shlcp.ckpt.v1";
 std::string fnv1a_hex(std::string_view bytes);
 
 /// `git describe --always --dirty` of the working tree, or "unknown"
-/// outside a checkout (same convention as bench/report.h).
-std::string checkpoint_git_rev();
+/// outside a checkout (same convention as bench/report.h). Computed on
+/// the first call and reused for the life of the process.
+const std::string& checkpoint_git_rev();
 
 /// Digest of a materialized frame list: frame count plus every frame's
 /// (graph_index, ids, bound, ports). Two sweeps with the same digest

@@ -59,9 +59,10 @@ struct PendingRequest {
   std::string body;           // request envelope (shlcp.svc.v1 JSON)
   std::uint64_t admit_ms = 0; // admission stamp; queue delay charges
                               // against deadline_ms
-  std::size_t conn = 0;       // index of the owning connection
+  std::size_t conn = 0;       // index of the owning connection, used
+                              // only to route the reply
   std::int64_t owner = -1;    // session owner handed to the dispatcher:
-                              // the connection slot, or -1 for the pipe
+                              // the connection's id, or -1 for the pipe
                               // (exempt from per-connection session caps)
   std::uint64_t tag = 0;      // protocol-private cookie (HTTP: request
                               // sequence + keep-alive bit)
@@ -244,6 +245,8 @@ struct Connection {
   int out_fd = -1;     // write side
   bool pipe = false;   // the caller's pipe: blocking writes, never
                        // closed here, an I/O error fails the loop
+  std::int64_t id = -1;  // unique per accepted connection, never reused
+                         // (slots are compacted); -1 for the pipe
   std::unique_ptr<ConnProtocol> proto;
   bool closing = false;        // read no more (EOF, framing lost, or the
                                // protocol asked); close once nothing is
@@ -253,8 +256,13 @@ struct Connection {
   std::string outbuf;          // responses the kernel has not accepted
   std::size_t outpos = 0;      // consumed prefix of outbuf
 
-  Connection(int in, int out, bool is_pipe, std::unique_ptr<ConnProtocol> p)
-      : fd(in), out_fd(out), pipe(is_pipe), proto(std::move(p)) {}
+  Connection(int in, int out, bool is_pipe, std::int64_t conn_id,
+             std::unique_ptr<ConnProtocol> p)
+      : fd(in),
+        out_fd(out),
+        pipe(is_pipe),
+        id(conn_id),
+        proto(std::move(p)) {}
 
   [[nodiscard]] std::size_t pending_out() const {
     return outbuf.size() - outpos;
@@ -353,9 +361,10 @@ int serve_stream(std::vector<StreamListener> listeners, int pipe_in,
 
   std::vector<Connection> conns;
   if (pipe_in >= 0) {
-    conns.emplace_back(pipe_in, pipe_out, true,
+    conns.emplace_back(pipe_in, pipe_out, true, -1,
                        make_jsonl_protocol(options.max_frame_bytes));
   }
+  std::int64_t next_conn_id = 0;
   std::deque<PendingRequest> queue;
   int exit_code = 0;
 
@@ -475,10 +484,14 @@ int serve_stream(std::vector<StreamListener> listeners, int pipe_in,
     // The queue is empty here, so no PendingRequest.conn index is
     // live: retire connections whose work is done, then reclaim the
     // slots (and protocol buffers) of closed connections instead of
-    // scanning them forever.
+    // scanning them forever. Every request of a closed connection has
+    // been dispatched, so its session-owner count can be released.
     for (Connection& c : conns) {
       if (c.fd >= 0 && finished(c)) {
         close_conn(c);
+      }
+      if (c.fd < 0 && !c.pipe) {
+        dispatcher.connection_closed(c.id);
       }
     }
     conns.erase(std::remove_if(conns.begin(), conns.end(),
@@ -524,7 +537,7 @@ int serve_stream(std::vector<StreamListener> listeners, int pipe_in,
         set_nonblocking(client);
         set_cloexec(client);
         conns.emplace_back(
-            client, client, false,
+            client, client, false, next_conn_id++,
             listeners[li].make_protocol(options.max_frame_bytes));
       }
     }
@@ -553,8 +566,7 @@ int serve_stream(std::vector<StreamListener> listeners, int pipe_in,
         ConnProtocol::Output out;
         c.proto->on_bytes(std::string_view(buf, static_cast<std::size_t>(n)),
                           &out);
-        const std::int64_t owner =
-            c.pipe ? -1 : static_cast<std::int64_t>(ci);
+        const std::int64_t owner = c.id;
         for (ConnProtocol::Inbound& in : out.requests) {
           if (in.raw) {
             // Canned protocol reply: ride the queue so it is written in
@@ -628,6 +640,9 @@ int serve_stream(std::vector<StreamListener> listeners, int pipe_in,
 
   for (Connection& c : conns) {
     close_conn(c);
+    if (!c.pipe) {
+      dispatcher.connection_closed(c.id);
+    }
   }
   stop_accepting();
   dispatcher.attach_health(nullptr);

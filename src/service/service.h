@@ -193,7 +193,7 @@ struct Admitted {
   /// req.deadline_ms is the unexpired budget left after the queue
   /// delay (0 = none).
   Request req;
-  /// Transport connection slot the frame arrived on (-1 = none).
+  /// Id of the transport connection the frame arrived on (-1 = none).
   std::int64_t conn;
 
  private:
@@ -224,9 +224,9 @@ class Dispatcher {
   /// -- malformed input becomes an error response. `elapsed_ms` is how
   /// long the request has already waited since admission (the server's
   /// queue delay); it is charged against the request's deadline_ms.
-  /// `conn` is the transport connection slot the frame arrived on (-1 =
-  /// none / in-process); Service attributes session opens to it for the
-  /// per-connection cap.
+  /// `conn` is the id of the transport connection the frame arrived on
+  /// (-1 = none / in-process); Service attributes session opens to it
+  /// for the per-connection cap.
   std::string handle_text(const std::string& body,
                           std::uint64_t elapsed_ms = 0,
                           std::int64_t conn = -1);
@@ -235,6 +235,10 @@ class Dispatcher {
   /// document: Json::parse of the response text (in-process callers).
   Json handle(const Json& request, std::uint64_t elapsed_ms = 0,
               std::int64_t conn = -1);
+
+  /// The transport loop calls this once connection `conn` is closed and
+  /// every request it sent has been answered. Ids are never reused.
+  virtual void connection_closed(std::int64_t conn) { (void)conn; }
 
   /// After this, every request is refused with the "draining" error.
   void begin_drain() { draining_.store(true, std::memory_order_relaxed); }
@@ -300,6 +304,12 @@ class Service : public Dispatcher {
   [[nodiscard]] ia::SessionCounters session_counters() {
     sessions_.sweep();
     return sessions_.counters();
+  }
+
+  /// Releases the closed connection's per-connection session count; its
+  /// live sessions stay open until they finish or expire (DESIGN.md §17).
+  void connection_closed(std::int64_t conn) override {
+    sessions_.release_owner(conn);
   }
 
  private:

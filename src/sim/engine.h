@@ -20,6 +20,13 @@
 // engine. Under faults, a node's gathered knowledge may no longer
 // support a full radius-r reconstruction; try_view_of detects that
 // (degraded views are never silently passed off as valid ones).
+//
+// Sharing, not copying: in round 1 a receiver adds the announced edge to
+// its own record in place. From round 2 on each node's knowledge is
+// snapshotted once per round, and that one snapshot is the message sent
+// to every neighbour; only a channel that changes a message copies it.
+// SimStats bytes are the snapshots' sizes, so the traffic accounting is
+// the same as if every neighbour had been sent its own copy.
 
 #pragma once
 
@@ -78,14 +85,24 @@ class SyncEngine {
   [[nodiscard]] std::optional<View> try_view_of(Node v, int r) const;
 
  private:
-  /// Applies one delivered message to `to`'s knowledge and the traffic
-  /// stats (the synchronous receive step).
-  void deliver_one(int global_round, Node from, Node to, const Message& m);
+  class Receiver;
+
+  /// Runs one round (sends from the round-start state, then receives).
+  void run_round(int global_round);
+
+  /// Adds the traffic and rounds of this run() call to the sim.*
+  /// counters, once.
+  void publish_counters(const SimStats& before) const;
 
   const Instance& inst_;
   ChannelModel* channel_ = nullptr;  // not owned; nullptr = ideal channels
   const CancelToken* cancel_ = nullptr;  // not owned; nullptr = no polling
   std::vector<Knowledge> kb_;
+  /// Round r >= 2: each node's knowledge at the start of the round, the
+  /// one message it sends to every neighbour. Reused across rounds.
+  std::vector<Message> snapshots_;
+  /// Round 1: the announce being sent, rewritten per edge.
+  Message announce_;
   SimStats stats_;
 };
 
@@ -100,7 +117,8 @@ std::vector<bool> run_decoder_distributed(const Decoder& decoder,
 /// view (or the decoder could not evaluate the reconstruction); degraded
 /// nodes always reject -- the audit subsystem relies on that monotonicity.
 /// `views[v]` holds the reconstructed identified view when one exists,
-/// for attribution of verdict flips to specific faults.
+/// for attribution of verdict flips to specific faults (built once and
+/// moved in, never copied).
 struct FaultyRunResult {
   std::vector<bool> verdicts;
   std::vector<bool> degraded;

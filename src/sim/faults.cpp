@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
 #include "util/check.h"
 #include "util/descriptor.h"
@@ -213,6 +214,20 @@ void corrupt_message(Message& message, Rng& rng, bool allow_structural,
   stats.corrupted_fields += 1;
 }
 
+void ChannelModel::transmit(int round, Node from, Node to,
+                            const Message& sent, MessageSink& sink) {
+  Message copy = sent;
+  on_send(round, from, to, copy);
+  if (!alive(round, to)) {
+    return;  // crash-stop: a dead node processes nothing
+  }
+  std::vector<Message> delivered;
+  deliver(round, from, to, std::move(copy), delivered);
+  for (const Message& m : delivered) {
+    sink.receive(m);
+  }
+}
+
 FaultyChannel::FaultyChannel(FaultPlan plan) : plan_(std::move(plan)) {
   std::sort(plan_.crash_nodes.begin(), plan_.crash_nodes.end());
   std::sort(plan_.byzantine_nodes.begin(), plan_.byzantine_nodes.end());
@@ -237,18 +252,22 @@ bool FaultyChannel::alive(int round, Node v) const {
                              plan_.crash_nodes.end(), v);
 }
 
-void FaultyChannel::on_send(int round, Node from, Node to, Message& message) {
-  if (!std::binary_search(plan_.byzantine_nodes.begin(),
-                          plan_.byzantine_nodes.end(), from)) {
-    return;
+void FaultyChannel::transmit(int round, Node from, Node to,
+                             const Message& sent, MessageSink& sink) {
+  const bool structural = round >= 2;
+  // A byzantine sender tampers with its own private copy.
+  std::optional<Message> tampered;
+  if (std::binary_search(plan_.byzantine_nodes.begin(),
+                         plan_.byzantine_nodes.end(), from)) {
+    tampered.emplace(sent);
+    Rng rng = event_rng(round, from, to, /*salt=*/0xB12A);
+    corrupt_message(*tampered, rng, structural, stats_);
+    stats_.tampered_messages += 1;
   }
-  Rng rng = event_rng(round, from, to, /*salt=*/0xB12A);
-  corrupt_message(message, rng, /*allow_structural=*/round >= 2, stats_);
-  stats_.tampered_messages += 1;
-}
-
-void FaultyChannel::deliver(int round, Node from, Node to, Message&& message,
-                            std::vector<Message>& out) {
+  if (!alive(round, to)) {
+    return;  // crash-stop: a dead node processes nothing
+  }
+  const Message& message = tampered.has_value() ? *tampered : sent;
   if (plan_.drop_permille > 0) {
     Rng rng = event_rng(round, from, to, /*salt=*/0xD809);
     if (rng.next_bool(static_cast<std::uint64_t>(plan_.drop_permille), 1000)) {
@@ -265,22 +284,22 @@ void FaultyChannel::deliver(int round, Node from, Node to, Message&& message,
       stats_.duplicated += 1;
     }
   }
+  // Each delivered copy is corrupted independently of the others: a
+  // corrupted copy starts from the message that entered the channel
+  // (after any byzantine tampering).
   for (int c = 0; c < copies; ++c) {
-    Message copy;
-    if (c + 1 < copies) {
-      copy = message;  // keep the original for the remaining copies
-    } else {
-      copy = std::move(message);
-    }
     if (plan_.corrupt_permille > 0) {
       Rng rng = event_rng(round, from, to,
                           /*salt=*/0xC088 + static_cast<std::uint64_t>(c));
       if (rng.next_bool(static_cast<std::uint64_t>(plan_.corrupt_permille),
                         1000)) {
-        corrupt_message(copy, rng, /*allow_structural=*/round >= 2, stats_);
+        Message corrupted = message;
+        corrupt_message(corrupted, rng, structural, stats_);
+        sink.receive(corrupted);
+        continue;
       }
     }
-    out.push_back(std::move(copy));
+    sink.receive(message);
   }
 }
 

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/message.h"
@@ -86,10 +87,28 @@ struct FaultStats {
   std::uint64_t tampered_messages = 0;
 };
 
+/// Where a channel delivers the messages of one transmission, in order.
+/// The engine implements it: each receive() is one delivered message.
+class MessageSink {
+ public:
+  virtual void receive(const Message& message) = 0;
+
+ protected:
+  ~MessageSink() = default;
+};
+
 /// The engine's channel hook. The default implementation is the ideal
 /// channel: every node is always alive, sends are untouched, and every
 /// message is delivered exactly once. SyncEngine treats a null channel
 /// and the default ChannelModel identically.
+///
+/// The engine calls transmit() once per (round, sender, neighbour). The
+/// sent message is shared: in round r >= 2 it is the sender's one
+/// knowledge snapshot for the round, the same object for every
+/// neighbour. The default transmit() runs on_send and deliver on a
+/// private copy, so a channel written against those two hooks sees
+/// every message. A channel that overrides transmit() should copy only
+/// the messages it changes and pass the shared one through otherwise.
 class ChannelModel {
  public:
   virtual ~ChannelModel() = default;
@@ -102,8 +121,17 @@ class ChannelModel {
     return true;
   }
 
-  /// Called on every outgoing message before it enters the channel;
-  /// byzantine senders tamper here.
+  /// Carries `sent` from `from` to `to`: hands every delivered copy to
+  /// `sink` (none = drop, two = duplication), skipping delivery when the
+  /// receiver is not alive. `sent` must not be changed. Round-1
+  /// messages must keep their single-record/single-stub shape -- the
+  /// engine's handshake depends on it -- so structural mutations are
+  /// only legal from round 2 on.
+  virtual void transmit(int round, Node from, Node to, const Message& sent,
+                        MessageSink& sink);
+
+  /// Called by the default transmit() on every outgoing message before
+  /// it enters the channel; byzantine senders tamper here.
   virtual void on_send(int round, Node from, Node to, Message& message) {
     (void)round;
     (void)from;
@@ -111,11 +139,9 @@ class ChannelModel {
     (void)message;
   }
 
-  /// Delivery: append zero or more copies of `message` to `out` (empty =
-  /// drop, two = duplication; copies may be corrupted). Round-1 messages
-  /// must keep their single-record/single-stub shape -- the engine's
-  /// handshake depends on it -- so structural mutations are only legal
-  /// from round 2 on.
+  /// Called by the default transmit() for a live receiver: append zero
+  /// or more copies of `message` to `out` (empty = drop, two =
+  /// duplication; copies may be corrupted).
   virtual void deliver(int round, Node from, Node to, Message&& message,
                        std::vector<Message>& out) {
     (void)round;
@@ -125,15 +151,16 @@ class ChannelModel {
   }
 };
 
-/// The deterministic realization of a FaultPlan.
+/// The deterministic realization of a FaultPlan. Copies a message only
+/// to change it: a byzantine sender's tampered copy, or a corrupted
+/// delivery. Drops and duplicates pass the shared message on as it is.
 class FaultyChannel final : public ChannelModel {
  public:
   explicit FaultyChannel(FaultPlan plan);
 
   [[nodiscard]] bool alive(int round, Node v) const override;
-  void on_send(int round, Node from, Node to, Message& message) override;
-  void deliver(int round, Node from, Node to, Message&& message,
-               std::vector<Message>& out) override;
+  void transmit(int round, Node from, Node to, const Message& sent,
+                MessageSink& sink) override;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const FaultStats& stats() const { return stats_; }

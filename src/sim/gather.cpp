@@ -1,8 +1,7 @@
 #include "sim/gather.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <vector>
 
 #include "util/check.h"
 
@@ -11,93 +10,98 @@ namespace shlcp {
 View reconstruct_view(const Knowledge& kb, Ident center_id, int r,
                       Ident id_bound) {
   SHLCP_CHECK(r >= 1);
-  const NodeRecord* center = kb.find(center_id);
-  SHLCP_CHECK_MSG(center != nullptr && center->complete,
+  const std::span<const NodeRecord> records = kb.records();
+  const int center = kb.index_of(center_id);
+  SHLCP_CHECK_MSG(center >= 0 && records[static_cast<std::size_t>(center)]
+                                     .complete,
                   "center record must be complete");
 
-  // BFS over complete records, collecting reachable identifiers up to
+  // BFS over record positions, collecting everything reachable within
   // distance r. Edges are only expanded out of complete records (interior
-  // nodes); this reproduces the view's visibility rule.
-  std::map<Ident, int> dist;
-  dist[center_id] = 0;
-  std::deque<Ident> queue{center_id};
-  while (!queue.empty()) {
-    const Ident cur = queue.front();
-    queue.pop_front();
-    const int d = dist.at(cur);
+  // nodes); this reproduces the view's visibility rule. Flat vectors
+  // indexed by record position replace per-identifier maps: `slot[p]` is
+  // record p's distance during the BFS and its local index afterwards.
+  const auto at = [&](int p) -> const NodeRecord& {
+    return records[static_cast<std::size_t>(p)];
+  };
+  std::vector<int> slot(records.size(), -1);
+  std::vector<int> ball;  // record positions in BFS order
+  ball.reserve(records.size());
+  slot[static_cast<std::size_t>(center)] = 0;
+  ball.push_back(center);
+  for (std::size_t head = 0; head < ball.size(); ++head) {
+    const int p = ball[head];
+    const int d = slot[static_cast<std::size_t>(p)];
     if (d >= r) {
       continue;
     }
-    const NodeRecord* rec = kb.find(cur);
-    SHLCP_CHECK_MSG(rec != nullptr && rec->complete,
-                    "interior record missing from knowledge");
-    for (const EdgeInfo& e : rec->edges) {
-      if (dist.find(e.far_id) == dist.end()) {
-        dist[e.far_id] = d + 1;
-        queue.push_back(e.far_id);
+    SHLCP_CHECK_MSG(at(p).complete, "interior record missing from knowledge");
+    for (const EdgeInfo& e : at(p).edges) {
+      const int q = kb.index_of(e.far_id);
+      SHLCP_CHECK_MSG(q >= 0, "interior record missing from knowledge");
+      if (slot[static_cast<std::size_t>(q)] < 0) {
+        slot[static_cast<std::size_t>(q)] = d + 1;
+        ball.push_back(q);
       }
     }
   }
 
-  // Local indices in increasing identifier order (any deterministic order
-  // works; View equality is structural).
-  std::vector<Ident> locals;
-  locals.reserve(dist.size());
-  for (const auto& [id, d] : dist) {
-    locals.push_back(id);
-  }
-  std::map<Ident, int> local_of;
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    local_of[locals[i]] = static_cast<int>(i);
-  }
-
+  // Local indices in increasing identifier order, i.e. increasing record
+  // position (any deterministic order works; View equality is
+  // structural).
+  std::sort(ball.begin(), ball.end());
+  const auto k = ball.size();
   View view;
   view.radius = r;
   view.id_bound = id_bound;
-  view.center = local_of.at(center_id);
-  view.g = Graph(static_cast<int>(locals.size()));
-  view.dist.resize(locals.size());
-  view.ids.resize(locals.size());
-  view.labels.resize(locals.size());
-  view.ports.resize(locals.size());
+  view.g = Graph(static_cast<int>(k));
+  view.dist.resize(k);
+  view.ids.resize(k);
+  view.labels.resize(k);
+  view.ports.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const NodeRecord& rec = at(ball[i]);
+    int& s = slot[static_cast<std::size_t>(ball[i])];
+    view.dist[i] = s;
+    s = static_cast<int>(i);
+    view.ids[i] = rec.id;
+    view.labels[i] = rec.cert;
+  }
+  view.center = slot[static_cast<std::size_t>(center)];
 
-  // Collect the visible edges with their ports from complete interior
-  // records. Ports are stored per (local node, local neighbor).
-  std::map<std::pair<int, int>, Port> port_of;
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    const Ident id = locals[i];
-    view.dist[i] = dist.at(id);
-    const NodeRecord* rec = kb.find(id);
-    SHLCP_CHECK(rec != nullptr);
-    view.ids[i] = id;
-    view.labels[i] = rec->cert;
-    if (!rec->complete || dist.at(id) >= r) {
-      continue;  // boundary: its own edge list is not part of the view
-    }
-    for (const EdgeInfo& e : rec->edges) {
-      const auto it = local_of.find(e.far_id);
-      SHLCP_CHECK_MSG(it != local_of.end(),
-                      "edge endpoint missing from the collected ball");
-      const int a = static_cast<int>(i);
-      const int b = it->second;
-      if (!view.g.has_edge(a, b)) {
-        view.g.add_edge(a, b);
+  // The visible edges are those listed by complete interior records;
+  // a boundary node's own edge list is not part of the view. Ports are
+  // written per (local node, local neighbour) in record order, so where
+  // records disagree the last listing wins.
+  const auto for_each_visible_edge = [&](const auto& fn) {
+    for (std::size_t i = 0; i < k; ++i) {
+      const NodeRecord& rec = at(ball[i]);
+      if (!rec.complete || view.dist[i] >= r) {
+        continue;
       }
-      port_of[{a, b}] = e.self_port;
-      port_of[{b, a}] = e.far_port;
+      for (const EdgeInfo& e : rec.edges) {
+        const int b = slot[static_cast<std::size_t>(kb.index_of(e.far_id))];
+        SHLCP_CHECK_MSG(b >= 0, "edge endpoint missing from the collected ball");
+        fn(static_cast<int>(i), b, e);
+      }
     }
+  };
+  for_each_visible_edge([&](int a, int b, const EdgeInfo&) {
+    view.g.add_edge_if_absent(a, b);
+  });
+  for (std::size_t x = 0; x < k; ++x) {
+    view.ports[x].resize(
+        static_cast<std::size_t>(view.g.degree(static_cast<Node>(x))));
   }
-
-  for (int x = 0; x < view.g.num_nodes(); ++x) {
+  const auto port_slot = [&](int x, int y) -> Port& {
     const auto nb = view.g.neighbors(x);
-    auto& px = view.ports[static_cast<std::size_t>(x)];
-    px.resize(nb.size());
-    for (std::size_t t = 0; t < nb.size(); ++t) {
-      const auto it = port_of.find({x, nb[t]});
-      SHLCP_CHECK_MSG(it != port_of.end(), "port missing for visible edge");
-      px[t] = it->second;
-    }
-  }
+    const auto t = std::lower_bound(nb.begin(), nb.end(), y) - nb.begin();
+    return view.ports[static_cast<std::size_t>(x)][static_cast<std::size_t>(t)];
+  };
+  for_each_visible_edge([&](int a, int b, const EdgeInfo& e) {
+    port_slot(a, b) = e.self_port;
+    port_slot(b, a) = e.far_port;
+  });
   return view;
 }
 

@@ -44,16 +44,24 @@ std::size_t Message::byte_size() const {
   return static_cast<std::size_t>(total);
 }
 
+std::size_t Knowledge::lower_bound(Ident id) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(records_.begin(), records_.end(), id,
+                       [](const NodeRecord& r, Ident want) {
+                         return r.id < want;
+                       }) -
+      records_.begin());
+}
+
 void Knowledge::merge_record(const NodeRecord& record) {
-  const auto it = std::lower_bound(
-      records_.begin(), records_.end(), record.id,
-      [](const NodeRecord& r, Ident id) { return r.id < id; });
-  if (it == records_.end() || it->id != record.id) {
-    records_.insert(it, record);
+  const std::size_t i = lower_bound(record.id);
+  if (i == records_.size() || records_[i].id != record.id) {
+    records_.insert(records_.begin() + static_cast<std::ptrdiff_t>(i),
+                    record);
     return;
   }
-  if (!it->complete && record.complete) {
-    *it = record;
+  if (!records_[i].complete && record.complete) {
+    records_[i] = record;
   }
 }
 
@@ -63,29 +71,26 @@ void Knowledge::merge(const Message& message) {
   }
 }
 
+NodeRecord& Knowledge::find_or_insert(Ident id, const Certificate& cert) {
+  const std::size_t i = lower_bound(id);
+  if (i == records_.size() || records_[i].id != id) {
+    return *records_.insert(records_.begin() + static_cast<std::ptrdiff_t>(i),
+                            NodeRecord{id, cert, {}, false});
+  }
+  return records_[i];
+}
+
+int Knowledge::index_of(Ident id) const {
+  const std::size_t i = lower_bound(id);
+  return i < records_.size() && records_[i].id == id ? static_cast<int>(i)
+                                                      : -1;
+}
+
 const NodeRecord* Knowledge::find(Ident id) const {
-  const auto it = std::lower_bound(
-      records_.begin(), records_.end(), id,
-      [](const NodeRecord& r, Ident want) { return r.id < want; });
-  if (it == records_.end() || it->id != id) {
-    return nullptr;
-  }
-  return &*it;
+  const int i = index_of(id);
+  return i < 0 ? nullptr : &records_[static_cast<std::size_t>(i)];
 }
 
-std::vector<const NodeRecord*> Knowledge::all() const {
-  std::vector<const NodeRecord*> out;
-  out.reserve(records_.size());
-  for (const auto& r : records_) {
-    out.push_back(&r);
-  }
-  return out;
-}
-
-Message Knowledge::to_message() const {
-  Message m;
-  m.records = records_;
-  return m;
-}
+void Knowledge::snapshot_into(Message& out) const { out.records = records_; }
 
 }  // namespace shlcp

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/ids.h"
@@ -61,8 +62,8 @@ struct Message {
   [[nodiscard]] std::size_t byte_size() const;
 };
 
-/// A node's knowledge base: records keyed by identifier. Merging keeps the
-/// most complete record per identifier.
+/// A node's knowledge base: one flat vector of records, sorted by
+/// identifier. Merging keeps the most complete record per identifier.
 class Knowledge {
  public:
   /// Inserts or upgrades a record.
@@ -71,18 +72,35 @@ class Knowledge {
   /// Merges a whole message.
   void merge(const Message& message);
 
+  /// The record for `id`, inserted as the partial record (id, cert) if
+  /// absent (what merge_record does with a partial record, without
+  /// building one). A node extends its own record in place in round 1.
+  NodeRecord& find_or_insert(Ident id, const Certificate& cert);
+
   /// Record for `id`, or nullptr.
   [[nodiscard]] const NodeRecord* find(Ident id) const;
 
+  /// Position of `id` in records(), or -1.
+  [[nodiscard]] int index_of(Ident id) const;
+
   /// All records, sorted by identifier (deterministic iteration).
-  [[nodiscard]] std::vector<const NodeRecord*> all() const;
+  [[nodiscard]] std::span<const NodeRecord> records() const {
+    return records_;
+  }
 
   [[nodiscard]] std::size_t size() const { return records_.size(); }
 
-  /// Snapshot as a message (what full-information forwarding sends).
-  [[nodiscard]] Message to_message() const;
+  /// Reserves room for `n` records.
+  void reserve(std::size_t n) { records_.reserve(n); }
+
+  /// Overwrites `out` with a snapshot of the knowledge as a message
+  /// (what full-information forwarding sends), reusing out's buffers.
+  void snapshot_into(Message& out) const;
 
  private:
+  /// Position of the first record with identifier >= id.
+  [[nodiscard]] std::size_t lower_bound(Ident id) const;
+
   // Sorted by id; tiny sizes make a flat vector the right structure.
   std::vector<NodeRecord> records_;
 };

@@ -8,7 +8,7 @@
 //   * duplicate opens -> session_state, unknown ids -> session_not_found,
 //     wrong-state messages -> session_state with the session unharmed;
 //   * both caps refuse with "overloaded" + retry_after_ms (the shed
-//     path), the per-connection cap keyed by the transport conn slot;
+//     path), the per-connection cap keyed by the transport connection id;
 //   * TTL expiry via the injected clock, counted expired;
 //   * info enumerates interactive protocols + limits, health carries
 //     session occupancy, and opened == completed + expired + aborted +

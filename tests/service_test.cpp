@@ -1055,6 +1055,77 @@ TEST(SocketServer, ServesSequentialConnectionsAndExitsOnCancel) {
   EXPECT_FALSE(fs::exists(path));  // unlinked on exit
 }
 
+/// Sends one request on `fd` and reads its reply.
+Json call_on(int fd, const Json& request) {
+  const std::string frame = encode_frame(request.dump());
+  EXPECT_EQ(::write(fd, frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size()));
+  FrameReader reader;
+  const std::optional<std::string> body = read_frame(fd, reader);
+  EXPECT_TRUE(body.has_value());
+  return body.has_value() ? Json::parse(*body) : Json();
+}
+
+// The per-connection session cap belongs to a connection, not to its
+// slot in the loop: closing connection a must neither lift b's cap nor
+// hand b's sessions to the next connection that takes b's old slot.
+TEST(SocketServer, SessionCapFollowsTheConnectionNotItsSlot) {
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "shlcp_owner.sock").string();
+  CancelToken token;
+  ServerOptions options;
+  options.cancel = &token;
+  options.num_threads = 1;
+  options.service.sessions.per_conn_max = 2;
+
+  int exit_code = -1;
+  TransportSpec spec;
+  spec.unix_path = path;
+  std::thread server([&] { exit_code = serve_transports(spec, options); });
+
+  const auto open_on = [](int fd, const std::string& id) {
+    Json params = Json::object();
+    params["session"] = id;
+    params["instance"] = "cycle6";
+    params["k"] = 2;
+    params["rounds"] = 1;
+    return call_on(fd, make_request(1, "session_open", std::move(params)));
+  };
+  const auto info_on = [](int fd) {
+    ok_result(call_on(fd, make_request(0, "info", Json::object())));
+  };
+
+  const int a = connect_unix(path);
+  ASSERT_GE(a, 0);
+  info_on(a);  // a is accepted first
+  const int b = connect_unix(path);
+  ASSERT_GE(b, 0);
+  ok_result(open_on(b, "b1"));
+  ok_result(open_on(b, "b2"));
+  ::close(a);
+  // Give the loop time to see a's EOF and compact its slots before b's
+  // next open. Owner ids make the outcome independent of that timing;
+  // slot owners changed hands exactly here.
+  ::usleep(50'000);
+  info_on(b);
+  // Checked without throwing, so a failure still reaches the teardown.
+  const Json refused = open_on(b, "b3");
+  EXPECT_FALSE(refused.at("ok").as_bool()) << refused.dump();
+  if (refused.contains("error")) {
+    EXPECT_EQ(refused.at("error").at("code").as_string(), kErrOverloaded);
+  }
+  const int c = connect_unix(path);
+  ASSERT_GE(c, 0);
+  const Json fresh = open_on(c, "fresh");
+  EXPECT_TRUE(fresh.at("ok").as_bool()) << fresh.dump();
+  ::close(b);
+  ::close(c);
+
+  token.request_stop(StopReason::kCancelRequested);
+  server.join();
+  EXPECT_EQ(exit_code, 0);
+}
+
 // One end-of-stream rule for every connection: a client that pipelines
 // a burst spanning several server reads, then half-closes, gets exactly
 // one reply per request (ok or "overloaded") before the server closes.
