@@ -40,7 +40,7 @@
 //   --spawn N               spawn and supervise N shlcpd backends
 //   --spawn-dir PATH        fleet state root (default /tmp/shlcp_fleet)
 //   --shlcpd PATH           backend binary ($SHLCP_SHLCPD / auto-detect)
-//   --backend-threads N     worker threads per backend (default 2)
+//   --backend-threads N     --threads of each backend (default 2)
 //   --backend-cache-bytes N backend disk-cache budget
 //   --restart-backoff-ms N  base restart backoff (default 100)
 //   --restart-backoff-max-ms N  backoff cap (default 2000)
@@ -67,7 +67,7 @@ int usage(const char* argv0) {
       "       (--socket PATH | --tcp [HOST:]PORT | --http [HOST:]PORT ...)\n"
       "       [--port-file PATH] [--vnodes N] [--replicas N]\n"
       "       [--probe-interval-ms N] [--timeout-ms N] [--retries N]\n"
-      "       [--backoff-ms N] [--seed N] [--threads N] [--batch N]\n"
+      "       [--backoff-ms N] [--seed N] [--threads N]\n"
       "       [--queue-max N] [--inflight-max N] [--max-frame-bytes N]\n"
       "       [--spawn-dir PATH] [--shlcpd PATH] [--backend-threads N]\n"
       "       [--backend-cache-bytes N] [--restart-backoff-ms N]\n"
@@ -143,8 +143,6 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(std::atoll(next()));
     } else if (arg == "--threads") {
       options.num_threads = std::atoi(next());
-    } else if (arg == "--batch") {
-      options.batch_max = std::atoi(next());
     } else if (arg == "--queue-max") {
       options.queue_max = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--inflight-max") {

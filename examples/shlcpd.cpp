@@ -10,17 +10,19 @@
 //   shlcpd --tcp 127.0.0.1:7400          # fleet backend (JSONL framing)
 //   shlcpd --http 0.0.0.0:7480           # curl-able gateway
 //
-// Every transport is served by one poll loop on the main thread. The
-// listeners combine freely (--socket + --tcp + --http is one process,
-// one Service, one artifact cache, one admission queue behind all
-// three); --pipe is exclusive. Every listener is bound before any is
-// served: if one cannot bind, shlcpd exits 1 at once. Once all are
-// listening it logs one "serving" line each (with the bound port; port
-// 0 binds an ephemeral one) and, with --port-file, publishes the bound
-// endpoints as JSON -- that is how bench_fleet and scripts discover
-// them. A client that half-closes its connection still gets every
-// reply it is owed; --pipe exits 0 after answering everything sent
-// before stdin's EOF, and 1 if stdout's reader goes away.
+// Every transport is served by --threads poll loops, one per thread,
+// the main thread's included; each accepted connection lives on one of
+// them. The listeners combine freely (--socket + --tcp + --http is one
+// process, one Service, one artifact cache, one admission cap behind
+// all three); --pipe is exclusive and runs one loop. Every listener
+// is bound before any is served: if one cannot bind, shlcpd exits 1 at
+// once. Once all are listening it logs one "serving" line each (with
+// the bound port; port 0 binds an ephemeral one) and, with
+// --port-file, publishes the bound endpoints as JSON -- that is how
+// bench_fleet and scripts discover them. A client that half-closes its
+// connection still gets every reply it is owed; --pipe exits 0 after
+// answering everything sent before stdin's EOF, and 1 if stdout's
+// reader goes away.
 //
 // SIGINT drains: in-flight requests finish, queued and later requests
 // get the "draining" error, then the process exits 0. Options:
@@ -29,8 +31,8 @@
 //                        127.0.0.1; port 0 = ephemeral)
 //   --http [HOST:]PORT   HTTP/1.1 gateway (same host/port grammar)
 //   --port-file PATH     write {"unix":..,"tcp":..,"http":..} when ready
-//   --threads N          worker threads (0 = SHLCP_NUM_THREADS / auto)
-//   --batch N            max requests dispatched per batch (default 32)
+//   --threads N          poll loops, one thread each (0 = SHLCP_NUM_THREADS
+//                        / auto)
 //   --queue-max N        admission queue cap; past it requests are shed
 //                        with "overloaded" (default 512, 0 = unbounded)
 //   --inflight-max N     per-connection in-flight cap (default 128)
@@ -51,7 +53,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s (--pipe | --socket PATH | --tcp [HOST:]PORT | --http\n"
-      "       [HOST:]PORT ...) [--port-file PATH] [--threads N] [--batch N]\n"
+      "       [HOST:]PORT ...) [--port-file PATH] [--threads N]\n"
       "       [--queue-max N] [--inflight-max N]\n"
       "       [--cache-bytes N] [--cache-dir PATH] [--max-frame-bytes N]\n",
       argv0);
@@ -90,8 +92,6 @@ int main(int argc, char** argv) {
       transports.port_file = next();
     } else if (arg == "--threads") {
       options.num_threads = std::atoi(next());
-    } else if (arg == "--batch") {
-      options.batch_max = std::atoi(next());
     } else if (arg == "--queue-max") {
       options.queue_max = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--inflight-max") {

@@ -17,9 +17,8 @@
 //   GET /healthz     the `health` op (also /v1/health, /v1/info).
 //
 // The gateway builds a shlcp.svc.v1 envelope per request and rides the
-// one serve_stream loop the JSONL transports use -- same admission
-// caps, same shedding, same drain contract, same batching. Error codes
-// map onto statuses:
+// serve_stream loops the JSONL transports use -- same admission caps,
+// same shedding, same drain contract. Error codes map onto statuses:
 //
 //   ok -> 200        invalid_request / invalid_params / bad_frame /
 //   unknown_op       integrity -> 400

@@ -1,10 +1,15 @@
 #include "service/netloop.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <iterator>
+#include <mutex>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -12,6 +17,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -20,7 +26,7 @@
 #include "util/clock.h"
 #include "util/format.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
+#include "util/parallel.h"  // resolve_num_threads
 
 namespace shlcp::svc {
 
@@ -54,16 +60,28 @@ void set_cloexec(int fd) {
   }
 }
 
-/// One admitted request awaiting dispatch.
+/// Metric handles of the loops, registered once: a by-name lookup takes
+/// the registry's global mutex, which every loop would contend for.
+metrics::Gauge& queue_depth_gauge() {
+  static metrics::Gauge& g = metrics::gauge("service.queue.depth");
+  return g;
+}
+metrics::Counter& shed_counter() {
+  static metrics::Counter& c = metrics::counter("service.shed");
+  return c;
+}
+metrics::Counter& error_counter() {
+  static metrics::Counter& c = metrics::counter("service.errors");
+  return c;
+}
+
+/// One request of a loop's queue: read, not yet answered.
 struct PendingRequest {
   std::string body;           // request envelope (shlcp.svc.v1 JSON)
   std::uint64_t admit_ms = 0; // admission stamp; queue delay charges
                               // against deadline_ms
-  std::size_t conn = 0;       // index of the owning connection, used
-                              // only to route the reply
-  std::int64_t owner = -1;    // session owner handed to the dispatcher:
-                              // the connection's id, or -1 for the pipe
-                              // (exempt from per-connection session caps)
+  std::size_t conn = 0;       // index of the owning connection in its
+                              // loop
   std::uint64_t tag = 0;      // protocol-private cookie (HTTP: request
                               // sequence + keep-alive bit)
   bool raw = false;           // body is already wire bytes: skip the
@@ -72,21 +90,12 @@ struct PendingRequest {
                               // to keep per-connection response order)
 };
 
-/// Admission policy of the loop.
-struct Admission {
-  std::size_t queue_max = 0;          // 0 = unbounded
-  std::size_t conn_inflight_max = 0;  // 0 = unbounded
-  int batch_max = 32;
-  HealthState* health = nullptr;
-};
-
 /// Backpressure hint for a shed frame: roughly how long the backlog
-/// ahead needs to dispatch, assuming ~10 ms per batch, capped so a
-/// wildly overloaded server never tells clients to sleep forever.
-std::int64_t retry_after_hint_ms(std::size_t depth, int batch_max) {
-  const std::size_t batches =
-      depth / static_cast<std::size_t>(std::max(batch_max, 1)) + 1;
-  return static_cast<std::int64_t>(std::min<std::size_t>(batches * 10, 1000));
+/// ahead needs to dispatch, assuming ~10 ms per 32 requests, capped so
+/// a wildly overloaded server never tells clients to sleep forever.
+std::int64_t retry_after_hint_ms(std::uint64_t depth) {
+  return static_cast<std::int64_t>(
+      std::min<std::uint64_t>((depth / 32 + 1) * 10, 1000));
 }
 
 /// Builds the "overloaded" refusal body for a request that was never
@@ -94,7 +103,7 @@ std::int64_t retry_after_hint_ms(std::size_t depth, int batch_max) {
 /// response must be matchable client-side); one too corrupt to parse is
 /// shed with a null id.
 std::string shed_body(const std::string& body, std::string_view what,
-                      std::size_t depth, int batch_max) {
+                      std::uint64_t depth) {
   Json id;
   try {
     const Json req = Json::parse(body);
@@ -103,93 +112,10 @@ std::string shed_body(const std::string& body, std::string_view what,
     }
   } catch (const CheckError&) {
   }
-  metrics::counter("service.shed").inc();
+  shed_counter().inc();
   return error_response(id, kErrOverloaded, what, "",
-                        retry_after_hint_ms(depth, batch_max))
+                        retry_after_hint_ms(depth))
       .dump();
-}
-
-/// Outcome of admitting one envelope: empty = admitted (the request is
-/// now queued), otherwise the refusal body to send back.
-std::string admit_request(std::deque<PendingRequest>& queue,
-                          PendingRequest&& request,
-                          std::size_t* conn_inflight,
-                          const Admission& admission) {
-  if (admission.queue_max > 0 && queue.size() >= admission.queue_max) {
-    admission.health->shed_total.fetch_add(1, std::memory_order_relaxed);
-    return shed_body(
-        request.body,
-        format("admission queue full (%zu queued); back off and retry",
-               queue.size()),
-        queue.size(), admission.batch_max);
-  }
-  if (admission.conn_inflight_max > 0 &&
-      *conn_inflight >= admission.conn_inflight_max) {
-    admission.health->shed_total.fetch_add(1, std::memory_order_relaxed);
-    return shed_body(
-        request.body,
-        format("connection in-flight cap (%zu) reached; await "
-               "responses before pipelining more",
-               admission.conn_inflight_max),
-        queue.size(), admission.batch_max);
-  }
-  queue.push_back(std::move(request));
-  ++*conn_inflight;
-  admission.health->admitted_total.fetch_add(1, std::memory_order_relaxed);
-  admission.health->queue_depth.store(queue.size(), std::memory_order_relaxed);
-  return {};
-}
-
-/// Dispatches up to batch_max queued requests across the pool and
-/// returns the responses in queue order (paired with their Pending).
-/// `raw` requests pass through untouched (their body IS the response).
-std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
-    Dispatcher& dispatcher, WorkerPool& pool,
-    std::deque<PendingRequest>& queue, int batch_max, HealthState& health) {
-  const std::size_t count =
-      std::min(queue.size(), static_cast<std::size_t>(batch_max));
-  std::vector<PendingRequest> batch;
-  batch.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    batch.push_back(std::move(queue.front()));
-    queue.pop_front();
-  }
-  metrics::histogram("service.batch.size", metrics::HistogramLayout::count())
-      .record(count);
-  metrics::gauge("service.queue.depth")
-      .set(static_cast<std::int64_t>(queue.size()));
-  health.queue_depth.store(queue.size(), std::memory_order_relaxed);
-
-  const std::uint64_t dispatch_ms = mono_ms();
-  std::vector<std::string> responses(count);
-  const auto run_one = [&](std::size_t i) {
-    if (batch[i].raw) {
-      return;  // pre-encoded: the body IS the wire bytes
-    }
-    const std::uint64_t elapsed = dispatch_ms > batch[i].admit_ms
-                                      ? dispatch_ms - batch[i].admit_ms
-                                      : 0;
-    responses[i] = dispatcher.handle_text(batch[i].body, elapsed,
-                                          batch[i].owner);
-  };
-  if (count == 1) {
-    run_one(0);
-  } else {
-    pool.parallel_for_chunks(count, 1,
-                             [&](std::size_t, std::size_t begin,
-                                 std::size_t end) {
-                               for (std::size_t i = begin; i < end; ++i) {
-                                 run_one(i);
-                               }
-                             });
-  }
-
-  std::vector<std::pair<PendingRequest, std::string>> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.emplace_back(std::move(batch[i]), std::move(responses[i]));
-  }
-  return out;
 }
 
 class JsonlProtocol final : public ConnProtocol {
@@ -244,7 +170,7 @@ struct Connection {
   int fd = -1;         // read side; also the write side of a socket
   int out_fd = -1;     // write side
   bool pipe = false;   // the caller's pipe: blocking writes, never
-                       // closed here, an I/O error fails the loop
+                       // closed here, an I/O error exits the server 1
   std::int64_t id = -1;  // unique per accepted connection, never reused
                          // (slots are compacted); -1 for the pipe
   std::unique_ptr<ConnProtocol> proto;
@@ -268,6 +194,545 @@ struct Connection {
     return outbuf.size() - outpos;
   }
 };
+
+class Loop;
+
+/// What every loop of one serve_stream call shares.
+struct Shared {
+  Shared(Dispatcher& d, CancelToken& c, const ServerOptions& o,
+         std::vector<StreamListener> l)
+      : dispatcher(d), cancel(c), options(o), listeners(std::move(l)) {}
+
+  Dispatcher& dispatcher;
+  CancelToken& cancel;
+  const ServerOptions& options;
+  /// One HealthState for every loop: queue_depth is the global
+  /// admission depth that ServerOptions::queue_max caps.
+  HealthState health;
+  /// Polled by every loop while it serves; closed by the last loop to
+  /// stop serving, so no poll set still holds their fds.
+  std::vector<StreamListener> listeners;
+  /// Loops still serving (the listeners stay open until it reaches 0).
+  std::atomic<int> serving{1};
+  /// Guards the structure of *loops (serve_stream appends to it while
+  /// the first loops already run), a placement's choice, and
+  /// next_conn_id.
+  std::mutex mu;
+  std::deque<Loop>* loops = nullptr;
+  /// Connection ids (the session owners), never reused.
+  std::int64_t next_conn_id = 0;
+  std::atomic<int> exit_code{0};
+};
+
+/// One poll loop on one thread. It owns its connections and answers
+/// their requests inline, in arrival order, writing each reply as soon
+/// as it is computed. Every loop polls the listeners between requests;
+/// the one that accepts a connection places it on the loop with the
+/// fewest live connections (a tie goes to the accepting loop, else to
+/// the lowest index), through that loop's inbox and the wake fd in its
+/// poll set. Loop 0 also serves the pipe.
+class Loop {
+ public:
+  /// `wake_fd` (an eventfd, owned) wakes the loop for its inbox and for
+  /// the drain; -1 when this is the only loop.
+  Loop(Shared& shared, int wake_fd) : shared_(shared), wake_fd_(wake_fd) {}
+  ~Loop() {
+    if (wake_fd_ >= 0) {
+      ::close(wake_fd_);
+    }
+  }
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  /// Loop 0: serves the caller's pipe as one more connection.
+  void add_pipe(int in, int out) {
+    conns_.emplace_back(in, out, true, -1,
+                        make_jsonl_protocol(shared_.options.max_frame_bytes));
+    live_.fetch_add(1);
+  }
+
+  /// Serves until the drain, or -- in a pipe-only run -- until the pipe
+  /// has ended. A loop that fails takes the server down: the other
+  /// loops drain, and the exit code is 1. Either way it then wakes the
+  /// other loops, closes the listeners if it is the last to stop
+  /// serving, flushes, and closes every connection it owns.
+  void serve() {
+    try {
+      run();
+    } catch (...) {
+      fail_server();
+    }
+    try {
+      leave();
+    } catch (...) {
+      fail_server();  // nothing may escape the loop's thread
+    }
+  }
+
+  /// Closes the connections handed over after this loop had exited.
+  /// Call once every loop has returned.
+  void close_inbox() {
+    for (Connection& c : inbox_) {
+      close_conn(c);
+      release(c.id);
+    }
+    inbox_.clear();
+  }
+
+ private:
+  void run();
+
+  void fail_server() {
+    shared_.exit_code.store(1);
+    shared_.dispatcher.begin_drain();
+  }
+
+  void check_cancel() {
+    if (shared_.cancel.stop_requested() && !shared_.dispatcher.draining()) {
+      shared_.dispatcher.begin_drain();
+    }
+  }
+
+  /// Teardown after run(), on the normal and the failure path.
+  void leave() {
+    // Only a failed run leaves admitted requests unanswered: they no
+    // longer count against the global cap.
+    for (std::size_t i = head_; i < queue_.size(); ++i) {
+      if (!queue_[i].raw) {
+        shared_.health.queue_depth.fetch_sub(1, std::memory_order_relaxed);
+      }
+    }
+    queue_.clear();
+    head_ = 0;
+    {
+      // A loop stops serving only in the drain (or at the end of a
+      // pipe-only run, which has no other loop). The others would see
+      // it only at their next poll timeout.
+      const std::lock_guard<std::mutex> lock(shared_.mu);
+      for (Loop& loop : *shared_.loops) {
+        if (&loop != this) {
+          loop.wake();
+        }
+      }
+    }
+    if (shared_.serving.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      for (StreamListener& listener : shared_.listeners) {
+        listener.close();
+      }
+    }
+    flush_for_drain();
+    for (Connection& c : conns_) {
+      close_conn(c);
+      release(c.id);
+    }
+    conns_.clear();
+  }
+
+  /// A connection of this loop is gone for good: it no longer counts for
+  /// placement, and its session-owner count is released (-1 = the pipe).
+  void release(std::int64_t id) {
+    live_.fetch_sub(1);
+    if (id >= 0) {
+      shared_.dispatcher.connection_closed(id);
+    }
+  }
+
+  /// A socket this loop accepted goes to the loop with the fewest live
+  /// connections. A tie goes to this loop, which is polling and so not
+  /// inside a request, else to the lowest index.
+  void place(int fd, const StreamListener& listener) {
+    std::unique_ptr<ConnProtocol> proto =
+        listener.make_protocol(shared_.options.max_frame_bytes);
+    Loop* target = this;
+    std::int64_t id = -1;
+    {
+      // One placement at a time: two loops accepting at once must not
+      // both pick the same least-loaded loop.
+      const std::lock_guard<std::mutex> lock(shared_.mu);
+      for (Loop& loop : *shared_.loops) {
+        if (loop.live_.load() < target->live_.load()) {
+          target = &loop;
+        }
+      }
+      target->live_.fetch_add(1);
+      id = shared_.next_conn_id++;
+    }
+    if (target == this) {
+      conns_.emplace_back(fd, fd, false, id, std::move(proto));
+      return;
+    }
+    {
+      const std::lock_guard<std::mutex> lock(target->inbox_mu_);
+      target->inbox_.emplace_back(fd, fd, false, id, std::move(proto));
+    }
+    target->wake();
+  }
+
+  /// Cuts the loop's poll short (no-op for a lone loop, which has no
+  /// wake fd).
+  void wake() {
+    if (wake_fd_ >= 0) {
+      const std::uint64_t one = 1;
+      [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+    }
+  }
+
+  void adopt_inbox() {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &count, sizeof count);
+    const std::lock_guard<std::mutex> lock(inbox_mu_);
+    std::move(inbox_.begin(), inbox_.end(), std::back_inserter(conns_));
+    inbox_.clear();
+  }
+
+  void close_conn(Connection& c) {
+    if (c.fd >= 0 && !c.pipe) {
+      ::close(c.fd);
+    }
+    c.fd = -1;
+    c.outbuf.clear();
+    c.outpos = 0;
+  }
+
+  // A connection that died of an I/O error. The pipe is the daemon's
+  // only client, so losing it is a transport failure of the process.
+  void fail_conn(Connection& c) {
+    if (c.pipe) {
+      shared_.exit_code.store(1);
+    }
+    close_conn(c);
+  }
+
+  // Writes as much of c.outbuf as the connection accepts. Returns false
+  // if the connection died. A full socket buffer is not an error: the
+  // remainder stays queued and the poll loop watches POLLOUT -- one
+  // slow reader must never stall dispatch for the rest.
+  bool flush_conn(Connection& c) {
+    while (c.outpos < c.outbuf.size()) {
+      const char* data = c.outbuf.data() + c.outpos;
+      const std::size_t size = c.outbuf.size() - c.outpos;
+      // The pipe's fds may share their file description with other
+      // processes, so they are never switched to O_NONBLOCK and these
+      // writes block. MSG_NOSIGNAL: a socket client that vanished
+      // mid-response must produce EPIPE (slot reclaimed below), never a
+      // process-killing SIGPIPE -- belt to the SIG_IGN suspenders in
+      // serve_stream.
+      const ssize_t n = c.pipe ? ::write(c.out_fd, data, size)
+                               : ::send(c.fd, data, size, MSG_NOSIGNAL);
+      if (n > 0) {
+        c.outpos += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      if (n < 0 && !c.pipe && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        return true;
+      }
+      fail_conn(c);
+      return false;
+    }
+    c.outbuf.clear();
+    c.outpos = 0;
+    return true;
+  }
+
+  void send_conn(Connection& c, std::string_view bytes) {
+    if (c.fd < 0) {
+      return;
+    }
+    c.outbuf.append(bytes.data(), bytes.size());
+    if (flush_conn(c) && c.pending_out() > kMaxConnWriteBufferBytes) {
+      close_conn(c);  // reader has stalled; do not buffer unboundedly
+    }
+  }
+
+  // A closing connection goes away once everything owed is flushed.
+  static bool finished(const Connection& c) {
+    return c.closing && c.inflight == 0 && c.queued_raw == 0 &&
+           c.pending_out() == 0;
+  }
+
+  /// Admits one envelope of `c` under the global queue cap and the
+  /// connection's in-flight cap: empty = admitted, otherwise the refusal
+  /// body to send back.
+  std::string admit(Connection& c, const std::string& body) {
+    HealthState& health = shared_.health;
+    const std::size_t queue_max = shared_.options.queue_max;
+    const std::size_t conn_inflight_max = shared_.options.conn_inflight_max;
+    std::uint64_t depth = health.queue_depth.load(std::memory_order_relaxed);
+    do {
+      if (queue_max > 0 && depth >= queue_max) {
+        health.shed_total.fetch_add(1, std::memory_order_relaxed);
+        return shed_body(
+            body,
+            format("admission queue full (%llu queued); back off and retry",
+                   static_cast<unsigned long long>(depth)),
+            depth);
+      }
+      if (conn_inflight_max > 0 && c.inflight >= conn_inflight_max) {
+        health.shed_total.fetch_add(1, std::memory_order_relaxed);
+        return shed_body(body,
+                         format("connection in-flight cap (%zu) reached; "
+                                "await responses before pipelining more",
+                                conn_inflight_max),
+                         depth);
+      }
+    } while (!health.queue_depth.compare_exchange_weak(
+        depth, depth + 1, std::memory_order_relaxed));
+    ++c.inflight;
+    health.admitted_total.fetch_add(1, std::memory_order_relaxed);
+    return {};
+  }
+
+  /// Answers the queue in order, each reply written as soon as it is
+  /// computed. A cancel trip between two requests starts the drain, and
+  /// the dispatcher refuses the rest with "draining".
+  void dispatch_queue() {
+    while (head_ < queue_.size()) {
+      check_cancel();
+      const PendingRequest& req = queue_[head_++];
+      Connection& c = conns_[req.conn];
+      if (req.raw) {
+        if (c.queued_raw > 0) {
+          --c.queued_raw;
+        }
+        send_conn(c, req.body);
+        continue;
+      }
+      const std::uint64_t depth =
+          shared_.health.queue_depth.fetch_sub(1, std::memory_order_relaxed) -
+          1;
+      queue_depth_gauge().set(static_cast<std::int64_t>(depth));
+      const std::uint64_t now = mono_ms();
+      // The connection's id is the session owner; the pipe's -1 is
+      // exempt from per-connection session caps.
+      const std::string response = shared_.dispatcher.handle_text(
+          req.body, now > req.admit_ms ? now - req.admit_ms : 0, c.id);
+      if (c.inflight > 0) {
+        --c.inflight;
+      }
+      if (c.fd >= 0) {
+        bool close_after = false;
+        const std::string bytes =
+            c.proto->encode_response(req.tag, response, &close_after);
+        send_conn(c, bytes);
+        if (close_after) {
+          c.closing = true;
+        }
+      }
+    }
+    queue_.clear();
+    head_ = 0;
+  }
+
+  /// The queue is empty, so no PendingRequest.conn index is live:
+  /// retires connections whose work is done, then reclaims the slots
+  /// (and protocol buffers) of closed connections instead of scanning
+  /// them forever. Every request of a closed connection has been
+  /// answered, so its session-owner count can be released.
+  void reclaim() {
+    for (Connection& c : conns_) {
+      if (c.fd >= 0 && finished(c)) {
+        close_conn(c);
+      }
+      if (c.fd < 0) {
+        release(c.id);
+      }
+    }
+    conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
+                                [](const Connection& c) { return c.fd < 0; }),
+                 conns_.end());
+  }
+
+  /// Reads what connection `ci` sent and queues its requests.
+  void read_conn(std::size_t ci) {
+    Connection& c = conns_[ci];
+    char buf[64 << 10];
+    const ssize_t n = ::read(c.fd, buf, sizeof buf);
+    if (n == 0) {
+      // EOF: the peer sent its last request. Read no more, deliver every
+      // reply still owed, then close -- a half-closed client gets all of
+      // them.
+      c.closing = true;
+      return;
+    }
+    if (n < 0) {
+      if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+        fail_conn(c);
+      }
+      return;
+    }
+    out_.requests.clear();
+    out_.close = false;
+    c.proto->on_bytes(std::string_view(buf, static_cast<std::size_t>(n)),
+                      &out_);
+    const std::uint64_t now = mono_ms();
+    for (ConnProtocol::Inbound& in : out_.requests) {
+      if (!in.raw) {
+        std::string refusal = admit(c, in.body);
+        if (refusal.empty()) {
+          queue_.push_back(
+              PendingRequest{std::move(in.body), now, ci, in.tag, false});
+          continue;
+        }
+        bool close_after = false;
+        in.body = c.proto->encode_shed(in, refusal, &close_after);
+        if (close_after) {
+          c.closing = true;
+        }
+      }
+      // Canned protocol replies and refusals ride the queue, so they are
+      // written in request order relative to dispatched responses.
+      queue_.push_back(
+          PendingRequest{std::move(in.body), now, ci, in.tag, true});
+      ++c.queued_raw;
+    }
+    if (out_.close) {
+      error_counter().inc();
+      c.closing = true;
+    }
+  }
+
+  /// One poll round: wake-ups, accepts, writes and reads. Returns false
+  /// if poll itself failed.
+  bool poll_round() {
+    // pfds: the wake fd, the listeners, then one entry per connection. A
+    // closing connection only lingers to flush what it is owed (the
+    // pipe's blocking writes never leave any); it is never read again.
+    pfds_.clear();
+    if (wake_fd_ >= 0) {
+      pfds_.push_back({wake_fd_, POLLIN, 0});
+    }
+    const std::vector<StreamListener>& listeners = shared_.listeners;
+    for (const StreamListener& listener : listeners) {
+      pfds_.push_back({listener.fd, POLLIN, 0});
+    }
+    for (const Connection& c : conns_) {
+      pfds_.push_back(
+          {c.fd,
+           static_cast<short>((c.closing ? 0 : POLLIN) |
+                              (c.pending_out() > 0 ? POLLOUT : 0)),
+           0});
+    }
+    const int rc = ::poll(pfds_.data(), pfds_.size(), kPollTimeoutMs);
+    if (rc < 0 && errno != EINTR) {
+      return false;
+    }
+    if (rc <= 0) {
+      return true;
+    }
+
+    const std::size_t nwake = wake_fd_ >= 0 ? 1 : 0;
+    const std::size_t nlisten = listeners.size();
+    const std::size_t nconns = conns_.size();  // arrivals append past these
+    if (nwake == 1 && (pfds_[0].revents & POLLIN) != 0) {
+      adopt_inbox();
+    }
+    for (std::size_t li = 0; li < nlisten; ++li) {
+      if ((pfds_[nwake + li].revents & POLLIN) == 0) {
+        continue;
+      }
+      // EAGAIN is normal here (nonblocking listener, advisory POLLIN;
+      // another loop may have taken the connection); one still queued
+      // is re-reported.
+      const int client = ::accept(listeners[li].fd, nullptr, nullptr);
+      if (client >= 0) {
+        set_nonblocking(client);
+        set_cloexec(client);
+        place(client, listeners[li]);
+      }
+    }
+    for (std::size_t ci = 0; ci < nconns; ++ci) {
+      Connection& c = conns_[ci];
+      const short revents = pfds_[nwake + nlisten + ci].revents;
+      if ((revents & (POLLERR | POLLNVAL)) != 0) {
+        fail_conn(c);  // a dead fd must not busy-spin the poll loop
+        continue;
+      }
+      if ((revents & POLLOUT) != 0 && !flush_conn(c)) {
+        continue;
+      }
+      if (c.closing) {
+        if ((revents & POLLHUP) != 0) {
+          close_conn(c);  // the peer left; nothing more can be delivered
+        }
+        continue;
+      }
+      if ((revents & (POLLIN | POLLHUP)) != 0) {
+        read_conn(ci);
+      }
+    }
+    return true;
+  }
+
+  /// Drain contract: in-flight requests were answered, but their frames
+  /// may still sit in write buffers. Gives slow readers a bounded grace
+  /// window before the sockets are torn down.
+  void flush_for_drain() {
+    const std::uint64_t flush_deadline = mono_ms() + kDrainFlushMs;
+    std::vector<std::size_t> conn_of_pfd;
+    while (mono_ms() < flush_deadline) {
+      pfds_.clear();
+      conn_of_pfd.clear();
+      for (std::size_t i = 0; i < conns_.size(); ++i) {
+        if (conns_[i].fd >= 0 && conns_[i].pending_out() > 0) {
+          pfds_.push_back({conns_[i].fd, POLLOUT, 0});
+          conn_of_pfd.push_back(i);
+        }
+      }
+      if (pfds_.empty()) {
+        break;
+      }
+      if (::poll(pfds_.data(), pfds_.size(), kPollTimeoutMs) < 0 &&
+          errno != EINTR) {
+        break;
+      }
+      for (std::size_t pi = 0; pi < pfds_.size(); ++pi) {
+        Connection& c = conns_[conn_of_pfd[pi]];
+        if ((pfds_[pi].revents & (POLLERR | POLLNVAL | POLLHUP)) != 0) {
+          close_conn(c);
+        } else if ((pfds_[pi].revents & POLLOUT) != 0) {
+          flush_conn(c);
+        }
+      }
+    }
+  }
+
+  Shared& shared_;
+  const int wake_fd_;
+  /// Connections owned or waiting in the inbox: what placement compares.
+  std::atomic<std::size_t> live_{0};
+  std::mutex inbox_mu_;
+  std::vector<Connection> inbox_;  // guarded by inbox_mu_: sockets
+                                   // other loops accepted for this one
+  std::vector<Connection> conns_;
+  std::vector<PendingRequest> queue_;  // read, not yet answered; emptied
+                                       // by every dispatch_queue()
+  std::size_t head_ = 0;               // queue_[head_..] not yet taken
+  std::vector<pollfd> pfds_;           // reused by every poll round
+  ConnProtocol::Output out_;           // reused by every read
+};
+
+void Loop::run() {
+  // A pipe-only run (one loop, no listener) ends with its pipe.
+  const bool ends_with_pipe = shared_.listeners.empty();
+  while (true) {
+    check_cancel();
+    dispatch_queue();
+    if (shared_.dispatcher.draining()) {
+      break;  // queue answered above; refuse everything else
+    }
+    reclaim();
+    if (ends_with_pipe && conns_.empty()) {
+      break;
+    }
+    if (!poll_round()) {
+      fail_server();
+      break;
+    }
+  }
+}
 
 }  // namespace
 
@@ -352,301 +817,54 @@ int serve_stream(std::vector<StreamListener> listeners, int pipe_in,
                  int pipe_out, Dispatcher& dispatcher, CancelToken& cancel,
                  const ServerOptions& options) {
   ::signal(SIGPIPE, SIG_IGN);
-  HealthState health;
-  health.queue_max.store(options.queue_max, std::memory_order_relaxed);
-  dispatcher.attach_health(&health);
-  const Admission admission{options.queue_max, options.conn_inflight_max,
-                            options.batch_max, &health};
-  WorkerPool pool(resolve_num_threads(options.num_threads));
+  // A pipe-only run has no connection to place, so it is one loop.
+  const int num_loops =
+      listeners.empty() ? 1 : resolve_num_threads(options.num_threads);
+  Shared shared(dispatcher, cancel, options, std::move(listeners));
+  shared.health.queue_max.store(options.queue_max, std::memory_order_relaxed);
+  dispatcher.attach_health(&shared.health);
 
-  std::vector<Connection> conns;
-  if (pipe_in >= 0) {
-    conns.emplace_back(pipe_in, pipe_out, true, -1,
-                       make_jsonl_protocol(options.max_frame_bytes));
-  }
-  std::int64_t next_conn_id = 0;
-  std::deque<PendingRequest> queue;
-  int exit_code = 0;
-
-  const auto stop_accepting = [&] {
-    for (StreamListener& listener : listeners) {
-      listener.close();
+  std::deque<Loop> loops;  // grows without moving its loops
+  shared.loops = &loops;
+  std::vector<std::thread> threads;
+  {
+    // Loops started here may already accept; placement waits for this.
+    const std::lock_guard<std::mutex> lock(shared.mu);
+    const auto new_wake_fd = [] {
+      return ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    };
+    // A lone loop needs no wake fd; without one, loop 0 stays alone.
+    const int first_wake_fd = num_loops > 1 ? new_wake_fd() : -1;
+    Loop& first = loops.emplace_back(shared, first_wake_fd);
+    if (pipe_in >= 0) {
+      first.add_pipe(pipe_in, pipe_out);
     }
-    listeners.clear();
-  };
-
-  const auto check_cancel = [&] {
-    if (cancel.stop_requested() && !dispatcher.draining()) {
-      dispatcher.begin_drain();
-      stop_accepting();
-    }
-  };
-
-  const auto close_conn = [&](Connection& c) {
-    if (c.fd >= 0 && !c.pipe) {
-      ::close(c.fd);
-    }
-    c.fd = -1;
-    c.outbuf.clear();
-    c.outpos = 0;
-  };
-
-  // A connection that died of an I/O error. The pipe is the daemon's
-  // only client, so losing it is a transport failure of the process.
-  const auto fail_conn = [&](Connection& c) {
-    if (c.pipe) {
-      exit_code = 1;
-    }
-    close_conn(c);
-  };
-
-  // Writes as much of c.outbuf as the connection accepts. Returns false
-  // if the connection died. A full socket buffer is not an error: the
-  // remainder stays queued and the poll loop watches POLLOUT -- one
-  // slow reader must never stall dispatch for the rest.
-  const auto flush_conn = [&](Connection& c) -> bool {
-    while (c.outpos < c.outbuf.size()) {
-      const char* data = c.outbuf.data() + c.outpos;
-      const std::size_t size = c.outbuf.size() - c.outpos;
-      // The pipe's fds may share their file description with other
-      // processes, so they are never switched to O_NONBLOCK and these
-      // writes block. MSG_NOSIGNAL: a socket client that vanished
-      // mid-response must produce EPIPE (slot reclaimed below), never a
-      // process-killing SIGPIPE -- belt to the SIG_IGN suspenders above.
-      const ssize_t n = c.pipe ? ::write(c.out_fd, data, size)
-                               : ::send(c.fd, data, size, MSG_NOSIGNAL);
-      if (n > 0) {
-        c.outpos += static_cast<std::size_t>(n);
-        continue;
+    for (int i = 1; i < num_loops && first_wake_fd >= 0; ++i) {
+      // Out of fds or threads: serve with the loops started so far.
+      const int wake_fd = new_wake_fd();
+      if (wake_fd < 0) {
+        break;
       }
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      if (n < 0 && !c.pipe && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        return true;
-      }
-      fail_conn(c);
-      return false;
-    }
-    c.outbuf.clear();
-    c.outpos = 0;
-    return true;
-  };
-
-  const auto send_conn = [&](Connection& c, std::string_view bytes) {
-    if (c.fd < 0) {
-      return;
-    }
-    c.outbuf.append(bytes.data(), bytes.size());
-    if (flush_conn(c) && c.pending_out() > kMaxConnWriteBufferBytes) {
-      close_conn(c);  // reader has stalled; do not buffer unboundedly
-    }
-  };
-
-  // A closing connection goes away once everything owed is flushed.
-  const auto finished = [](const Connection& c) {
-    return c.closing && c.inflight == 0 && c.queued_raw == 0 &&
-           c.pending_out() == 0;
-  };
-
-  while (true) {
-    check_cancel();
-    while (!queue.empty()) {
-      for (auto& [req, response] : dispatch_batch(
-               dispatcher, pool, queue, options.batch_max, health)) {
-        Connection& owner = conns[req.conn];
-        if (req.raw) {
-          if (owner.queued_raw > 0) {
-            --owner.queued_raw;
-          }
-          send_conn(owner, req.body);
-          continue;
-        }
-        if (owner.inflight > 0) {
-          --owner.inflight;
-        }
-        if (owner.fd >= 0) {
-          bool close_after = false;
-          const std::string bytes =
-              owner.proto->encode_response(req.tag, response, &close_after);
-          send_conn(owner, bytes);
-          if (close_after) {
-            owner.closing = true;
-          }
-        }
-      }
-      check_cancel();
-    }
-    if (dispatcher.draining()) {
-      break;  // queue flushed above; refuse everything else
-    }
-
-    // The queue is empty here, so no PendingRequest.conn index is
-    // live: retire connections whose work is done, then reclaim the
-    // slots (and protocol buffers) of closed connections instead of
-    // scanning them forever. Every request of a closed connection has
-    // been dispatched, so its session-owner count can be released.
-    for (Connection& c : conns) {
-      if (c.fd >= 0 && finished(c)) {
-        close_conn(c);
-      }
-      if (c.fd < 0 && !c.pipe) {
-        dispatcher.connection_closed(c.id);
-      }
-    }
-    conns.erase(std::remove_if(conns.begin(), conns.end(),
-                               [](const Connection& c) { return c.fd < 0; }),
-                conns.end());
-    if (listeners.empty() && conns.empty()) {
-      break;  // a pipe-only loop whose pipe ended
-    }
-
-    // pfds: the listeners first, then one entry per connection. A
-    // closing connection only lingers to flush what it is owed (the
-    // pipe's blocking writes never leave any); it is never read again.
-    std::vector<pollfd> pfds;
-    for (const StreamListener& listener : listeners) {
-      pfds.push_back({listener.fd, POLLIN, 0});
-    }
-    for (const Connection& c : conns) {
-      pfds.push_back(
-          {c.fd,
-           static_cast<short>((c.closing ? 0 : POLLIN) |
-                              (c.pending_out() > 0 ? POLLOUT : 0)),
-           0});
-    }
-    const int rc = ::poll(pfds.data(), pfds.size(), kPollTimeoutMs);
-    if (rc < 0 && errno != EINTR) {
-      exit_code = 1;
-      break;
-    }
-    if (rc <= 0) {
-      continue;
-    }
-
-    const std::size_t nlisten = listeners.size();
-    const std::size_t nconns = conns.size();  // accepts append past these
-    for (std::size_t li = 0; li < nlisten; ++li) {
-      if ((pfds[li].revents & POLLIN) == 0) {
-        continue;
-      }
-      // EAGAIN is normal here (nonblocking listener, advisory POLLIN);
-      // the connection will be re-reported if still queued.
-      const int client = ::accept(listeners[li].fd, nullptr, nullptr);
-      if (client >= 0) {
-        set_nonblocking(client);
-        set_cloexec(client);
-        conns.emplace_back(
-            client, client, false, next_conn_id++,
-            listeners[li].make_protocol(options.max_frame_bytes));
-      }
-    }
-    for (std::size_t ci = 0; ci < nconns; ++ci) {
-      Connection& c = conns[ci];
-      const short revents = pfds[nlisten + ci].revents;
-      if ((revents & (POLLERR | POLLNVAL)) != 0) {
-        fail_conn(c);  // a dead fd must not busy-spin the poll loop
-        continue;
-      }
-      if ((revents & POLLOUT) != 0 && !flush_conn(c)) {
-        continue;
-      }
-      if (c.closing) {
-        if ((revents & POLLHUP) != 0) {
-          close_conn(c);  // the peer left; nothing more can be delivered
-        }
-        continue;
-      }
-      if ((revents & (POLLIN | POLLHUP)) == 0) {
-        continue;
-      }
-      char buf[64 << 10];
-      const ssize_t n = ::read(c.fd, buf, sizeof buf);
-      if (n > 0) {
-        ConnProtocol::Output out;
-        c.proto->on_bytes(std::string_view(buf, static_cast<std::size_t>(n)),
-                          &out);
-        const std::int64_t owner = c.id;
-        for (ConnProtocol::Inbound& in : out.requests) {
-          if (in.raw) {
-            // Canned protocol reply: ride the queue so it is written in
-            // request order relative to dispatched responses.
-            queue.push_back(PendingRequest{std::move(in.body), mono_ms(), ci,
-                                           owner, in.tag, true});
-            ++c.queued_raw;
-            continue;
-          }
-          std::string refusal = admit_request(
-              queue,
-              PendingRequest{std::move(in.body), mono_ms(), ci, owner, in.tag,
-                             false},
-              &c.inflight, admission);
-          if (!refusal.empty()) {
-            bool close_after = false;
-            std::string wire =
-                c.proto->encode_shed(in, refusal, &close_after);
-            queue.push_back(PendingRequest{std::move(wire), mono_ms(), ci,
-                                           owner, in.tag, true});
-            ++c.queued_raw;
-            if (close_after) {
-              c.closing = true;
-            }
-          }
-        }
-        if (out.close) {
-          metrics::counter("service.errors").inc();
-          c.closing = true;
-        }
-      } else if (n == 0) {
-        // EOF: the peer sent its last request. Read no more, deliver
-        // every reply still owed, then close -- a half-closed client
-        // gets all of them.
-        c.closing = true;
-      } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
-        fail_conn(c);
+      Loop& loop = loops.emplace_back(shared, wake_fd);
+      shared.serving.fetch_add(1, std::memory_order_relaxed);
+      try {
+        threads.emplace_back([&loop] { loop.serve(); });
+      } catch (const std::system_error&) {
+        shared.serving.fetch_sub(1, std::memory_order_relaxed);
+        loops.pop_back();
+        break;
       }
     }
   }
-
-  // Drain contract: in-flight requests were answered above, but their
-  // frames may still sit in write buffers. Give slow readers a bounded
-  // grace window before tearing the sockets down.
-  const std::uint64_t flush_deadline = mono_ms() + kDrainFlushMs;
-  while (mono_ms() < flush_deadline) {
-    std::vector<pollfd> pfds;
-    std::vector<std::size_t> conn_of_pfd;
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      if (conns[i].fd >= 0 && conns[i].pending_out() > 0) {
-        pfds.push_back({conns[i].fd, POLLOUT, 0});
-        conn_of_pfd.push_back(i);
-      }
-    }
-    if (pfds.empty()) {
-      break;
-    }
-    if (::poll(pfds.data(), pfds.size(), kPollTimeoutMs) < 0 &&
-        errno != EINTR) {
-      break;
-    }
-    for (std::size_t pi = 0; pi < pfds.size(); ++pi) {
-      Connection& c = conns[conn_of_pfd[pi]];
-      if ((pfds[pi].revents & (POLLERR | POLLNVAL | POLLHUP)) != 0) {
-        close_conn(c);
-      } else if ((pfds[pi].revents & POLLOUT) != 0) {
-        flush_conn(c);
-      }
-    }
+  loops.front().serve();
+  for (std::thread& thread : threads) {
+    thread.join();
   }
-
-  for (Connection& c : conns) {
-    close_conn(c);
-    if (!c.pipe) {
-      dispatcher.connection_closed(c.id);
-    }
+  for (Loop& loop : loops) {
+    loop.close_inbox();
   }
-  stop_accepting();
   dispatcher.attach_health(nullptr);
-  return exit_code;
+  return shared.exit_code.load();
 }
 
 }  // namespace shlcp::svc

@@ -1,22 +1,31 @@
-// The one poll-driven server loop behind every transport (DESIGN.md
-// §15). Private to src/service: serve_transports (server.h) is the
-// public entry point.
+// The poll-driven server loops behind every transport (DESIGN.md §15).
+// Private to src/service: serve_transports (server.h) is the public
+// entry point.
 //
-// serve_stream runs on its caller's thread over any mix of bound
-// listeners (unix socket, TCP, HTTP) and at most one pre-connected pipe
-// (shlcpd --pipe). Everything a connection needs -- non-blocking
-// accept, per-connection read buffers, bounded write buffers flushed on
-// POLLOUT, admission control with "overloaded" shedding, and the
-// three-part drain contract (finish in-flight, refuse queued, exit 0)
-// -- is this one loop, with one admission queue, one WorkerPool and
-// one HealthState for all of them. The listeners differ only in (a)
-// how their fd was bound and (b) the ConnProtocol that turns raw bytes
-// into request envelopes and dispatcher responses into wire bytes.
+// serve_stream runs over any mix of bound listeners (unix socket, TCP,
+// HTTP) and at most one pre-connected pipe (shlcpd --pipe). It runs
+// ServerOptions::num_threads poll loops, one per thread, the caller's
+// thread included; a pipe-only run uses one. Each loop owns its
+// connections -- non-blocking sockets, per-connection read buffers,
+// bounded write buffers flushed on POLLOUT -- and answers their
+// requests inline, in arrival order, writing each reply as soon as it
+// is computed. Loop 0 also serves the pipe. Every loop polls the
+// listeners between requests; the one that accepts a connection hands
+// it to the loop with the fewest live connections (a tie goes to the
+// accepting loop, else to the lowest index) through that loop's inbox
+// and a wake fd in its poll set. The loops share one dispatcher, one
+// HealthState, one admission cap (a global depth that
+// ServerOptions::queue_max bounds over every loop's queue) and one
+// counter of connection ids; every loop keeps the three-part drain
+// contract (finish in-flight, refuse queued, exit 0). The listeners
+// differ only in (a) how their fd was bound and (b) the ConnProtocol
+// that turns raw bytes into request envelopes and dispatcher responses
+// into wire bytes.
 //
 // The split of responsibilities:
 //
-//   serve_stream      owns poll(), accept(), admission, batching across
-//                     the WorkerPool, ordered write-back, shedding,
+//   serve_stream      owns poll(), accept() and placement, admission,
+//                     inline dispatch, ordered write-back, shedding,
 //                     drain, and connection lifetime. Protocol-blind.
 //   ConnProtocol      one instance per connection. on_bytes() consumes
 //                     raw reads and emits zero or more Inbound request
@@ -30,10 +39,10 @@
 //                     forwarding); see service.h.
 //
 // Ordering invariant: within one connection, responses are written in
-// request order. The loop guarantees it for dispatched requests (the
-// batch preserves queue order and the queue preserves arrival order);
-// protocols guarantee it for canned replies by emitting them as
-// `raw` Inbounds that ride the queue instead of bypassing it.
+// request order. The loop guarantees it for dispatched requests (one
+// loop serves a connection, and its queue is answered in arrival
+// order); protocols guarantee it for canned replies by emitting them
+// as `raw` Inbounds that ride the queue instead of bypassing it.
 
 #pragma once
 
@@ -53,7 +62,7 @@ namespace shlcp::svc {
 
 /// Per-connection wire protocol adapter. One instance per accepted
 /// connection; the loop owns it. Implementations are single-threaded
-/// (only the poll thread touches them).
+/// (only the loop that serves the connection touches them).
 class ConnProtocol {
  public:
   virtual ~ConnProtocol() = default;
@@ -121,9 +130,9 @@ StreamListener listen_unix(const std::string& path);
 StreamListener listen_tcp(const std::string& host, int port,
                           int* bound_port);
 
-/// The server loop: accepts connections on every listener, speaks each
+/// The server loops: accept connections on every listener, speak each
 /// listener's protocol on its connections, and -- when pipe_in >= 0 --
-/// serves one JSONL connection that reads pipe_in and writes pipe_out.
+/// serve one JSONL connection that reads pipe_in and writes pipe_out.
 /// The pipe fds stay blocking and stay open (the caller owns them); an
 /// I/O error on the pipe makes the exit code 1. Dispatches through
 /// `dispatcher` and honors the admission/drain contract documented in

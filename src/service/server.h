@@ -4,20 +4,23 @@
 // serve_transports binds and listen()s every requested listener first.
 // If any of them cannot bind, it closes the others, unlinks the unix
 // path, and returns 1 at once without publishing a port file. Otherwise
-// it publishes the port file and runs ONE poll loop (serve_stream,
-// netloop.h) on the calling thread over every listener and the pipe:
-// one dispatcher, one admission queue, one WorkerPool, one HealthState
-// and one cancel token, so the artifact cache, the `health` counters and
-// the drain are shared by every transport. That is how shlcpd exposes
+// it publishes the port file and runs the poll loops (serve_stream,
+// netloop.h) over every listener and the pipe:
+// ServerOptions::num_threads loops, one per thread, the calling thread
+// running the first. They
+// share one dispatcher, one admission cap, one HealthState and one
+// cancel token, so the artifact cache, the `health` counters and the
+// drain are shared by every transport. That is how shlcpd exposes
 // --socket, --tcp and --http at once.
 //
-// The loop accumulates bytes per connection, extracts complete request
-// frames, batches up to ServerOptions::batch_max of them, dispatches
-// the batch across the WorkerPool (one request per work unit -- the
-// service's operations are internally sequential, so the only
-// parallelism is across requests), and writes the responses back in
-// arrival order. Each request is stamped at admission; the queueing
-// delay is charged against its deadline_ms by Service::handle.
+// Each accepted connection is placed on one loop for its lifetime (the
+// loop with the fewest live connections). The loop accumulates bytes
+// per connection, extracts complete request frames, and answers them
+// inline in arrival order, writing each reply as soon as it is
+// computed; the service's operations are internally sequential, so the
+// parallelism is across connections on different loops. Each request
+// is stamped at admission; the queueing delay is charged against its
+// deadline_ms by Service::handle.
 //
 // Readiness is poll()-driven with a short timeout rather than blocking
 // reads, because the repo's SigintGuard installs its handler with
@@ -26,10 +29,11 @@
 // wakeup. On a trip the server calls Dispatcher::begin_drain():
 // requests already dispatched finish and are delivered, every frame
 // still queued (or arriving later) is answered with the "draining"
-// error, the listeners stop accepting, and the loop exits 0 once the
-// queue is flushed. That three-part contract (finish in-flight, refuse
-// queued, exit clean) is pinned by tests/service_test.cpp and
-// exercised with a real SIGINT in the CI service-smoke job.
+// error, the listeners stop accepting, and each loop exits once its
+// queue is flushed; the server then returns 0. That three-part contract
+// (finish in-flight, refuse queued, exit clean) is pinned by
+// tests/service_test.cpp and exercised with a real SIGINT in the CI
+// service-smoke job.
 //
 // Every connection, the pipe included, follows one end-of-stream rule:
 // when its read side reaches EOF the loop reads no more, delivers every
@@ -51,11 +55,11 @@
 // write error on it -- its reader is gone -- exits 1.
 //
 // Overload shedding (DESIGN.md §14): admission is bounded by
-// ServerOptions::queue_max globally and conn_inflight_max per
-// connection. A frame past either cap is answered immediately with the
-// "overloaded" error carrying a retry_after_ms hint scaled to the
-// backlog -- the client backs off, the queue never grows without
-// bound, and accepted requests keep their latency. Admission/shed
+// ServerOptions::queue_max globally (over every loop's queue) and
+// conn_inflight_max per connection. A frame past either cap is answered
+// immediately with the "overloaded" error carrying a retry_after_ms
+// hint scaled to the backlog -- the client backs off, the queues never
+// grow without bound, and accepted requests keep their latency. Admission/shed
 // totals and live queue depth feed the service's `health` op.
 
 #pragma once
@@ -78,11 +82,10 @@ struct ServerOptions {
   /// (not owned; must outlive the serve call) puts a caller's Service
   /// -- or a Router -- behind them.
   Dispatcher* dispatcher = nullptr;
-  /// Worker threads for batch dispatch; 0 resolves via SHLCP_NUM_THREADS
-  /// then the hardware (util/parallel.h).
+  /// Poll loops, one thread each, the calling thread included; 0
+  /// resolves via SHLCP_NUM_THREADS then the hardware (util/parallel.h).
+  /// A pipe-only run uses one.
   int num_threads = 0;
-  /// Max requests dispatched as one batch.
-  int batch_max = 32;
   /// Admission cap on queued-but-undispatched requests. A frame
   /// arriving past it is refused with "overloaded" plus a
   /// retry_after_ms backpressure hint instead of growing the queue
@@ -126,8 +129,8 @@ struct TransportSpec {
 /// a malformed spec.
 bool parse_hostport(const std::string& spec, std::string* host, int* port);
 
-/// Serves every requested transport from one poll loop on the calling
-/// thread (see the top of this header). Logs one "serving" line per
+/// Serves every requested transport from the poll loops, the first on
+/// the calling thread (see the top of this header). Logs one "serving" line per
 /// listener to stderr, with the bound port, once all are listening.
 /// Returns a process exit code: 0 after a clean drain or the end of a
 /// pipe-only run, 1 when a listener cannot bind, the spec names no

@@ -126,6 +126,21 @@ const OpMetrics& op_metrics(const OpSpec& op) {
   return bound[static_cast<std::size_t>(&op - op_table().data())];
 }
 
+/// Counters of the session and deadline paths, registered once like the
+/// per-op handles: a by-name lookup takes the registry's global mutex.
+metrics::Counter& sessions_opened_counter() {
+  static metrics::Counter& c = metrics::counter("service.sessions.opened");
+  return c;
+}
+metrics::Counter& sessions_refused_counter() {
+  static metrics::Counter& c = metrics::counter("service.sessions.refused");
+  return c;
+}
+metrics::Counter& deadline_cancel_counter() {
+  static metrics::Counter& c = metrics::counter("service.deadline_cancels");
+  return c;
+}
+
 }  // namespace
 
 std::span<const OpSpec> op_table() {
@@ -523,7 +538,7 @@ Json Service::op_search_witness(const Admitted& request) {
       find_lcp(member_string(params, "decoder", default_decoder));
 
   // Single-threaded build: the service's parallelism is across requests
-  // (the server's WorkerPool), and nesting pools is not supported.
+  // (the server's poll loops, one thread each).
   ParallelEnumOptions options;
   options.num_threads = 1;
   const WitnessSearchResult search =
@@ -673,7 +688,7 @@ Json Service::op_build_nbhd(const Admitted& request) {
             ? build_exhaustive_resumable(lcp, graphs, options)
             : build_proved_resumable(lcp, graphs, options);
     if (!res.complete) {
-      metrics::counter("service.deadline_cancels").inc();
+      deadline_cancel_counter().inc();
       throw ServiceError{
           kErrDeadline,
           format("build_nbhd expired its %llu ms deadline budget after "
@@ -775,7 +790,7 @@ Json Service::op_session_open(const Admitted& request) {
     case ia::SessionTable::Refusal::kOwnerCap: {
       // The shed path: same code and backpressure hint shape as queue
       // admission, so clients and routers treat both identically.
-      metrics::counter("service.sessions.refused").inc();
+      sessions_refused_counter().inc();
       const auto hint =
           static_cast<std::int64_t>(config_.sessions.ttl_ms / 4 + 1);
       throw ServiceError{
@@ -788,7 +803,7 @@ Json Service::op_session_open(const Admitted& request) {
           "", hint};
     }
   }
-  metrics::counter("service.sessions.opened").inc();
+  sessions_opened_counter().inc();
   Json result = Json::object();
   result["session"] = id;
   result["instance"] = instance_name;

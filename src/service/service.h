@@ -134,12 +134,13 @@ struct ServiceConfig {
   SessionConfig sessions;
 };
 
-/// Live load counters of the transport loop, surfaced by the `health`
+/// Live load counters of the transport loops, surfaced by the `health`
 /// op -- the fields a shard router polls to steer traffic. The server
-/// owns one and attaches it; atomics because the poll thread writes
-/// while worker threads read mid-dispatch.
+/// owns one for all of its loops and attaches it; atomics because every
+/// loop updates them while the others read them mid-dispatch.
 struct HealthState {
-  std::atomic<std::uint64_t> queue_depth{0};     // admitted, not dispatched
+  std::atomic<std::uint64_t> queue_depth{0};     // admitted, not dispatched,
+                                                 // summed over the loops
   std::atomic<std::uint64_t> queue_max{0};       // admission cap (0 = none)
   std::atomic<std::uint64_t> admitted_total{0};  // frames accepted
   std::atomic<std::uint64_t> shed_total{0};      // refused "overloaded"
@@ -214,8 +215,8 @@ struct Admitted {
 /// op table ("unknown_op"). A subclass implements only serve(): what it
 /// does with an admitted request.
 ///
-/// Implementations must be thread-safe: the server dispatches a batch
-/// of handle_text() calls concurrently across a WorkerPool.
+/// Implementations must be thread-safe: each of the server's poll loops
+/// calls handle_text() and connection_closed() on its own thread.
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
@@ -247,11 +248,10 @@ class Dispatcher {
     return draining_.load(std::memory_order_relaxed);
   }
 
-  /// Surfaces the transport loop's load counters through the `health`
+  /// Surfaces the transport loops' load counters through the `health`
   /// op. Not owned; must outlive every handle() call. Without one the
-  /// op reports zeros (in-process use). Atomic because several
-  /// transport loops (serve_transports) attach the same shared state
-  /// concurrently at startup.
+  /// op reports zeros (in-process use). Atomic because handle() reads
+  /// it on other threads.
   void attach_health(const HealthState* health) {
     health_.store(health, std::memory_order_release);
   }
@@ -288,9 +288,9 @@ class Dispatcher {
 };
 
 /// Transport-independent request dispatcher. Thread-safe: handle() may
-/// be called concurrently (the server batches requests across a
-/// WorkerPool); the registries are immutable after construction and the
-/// cache locks internally.
+/// be called concurrently (one call per server poll loop); the
+/// registries are immutable after construction and the cache locks
+/// internally.
 class Service : public Dispatcher {
  public:
   explicit Service(ServiceConfig config = {});

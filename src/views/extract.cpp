@@ -1,10 +1,44 @@
 #include "views/extract.h"
 
 #include <algorithm>
-
-#include "graph/algorithms.h"
+#include <vector>
 
 namespace shlcp {
+
+namespace {
+
+/// Per-thread scratch of extract_view, indexed by global node: the BFS
+/// distance from the view center and the node's local index (-1 = not
+/// in the ball), plus the ball itself.
+struct BallScratch {
+  std::vector<int> dist;
+  std::vector<int> local;
+  std::vector<Node> ball;
+
+  /// Unmarks the ball's nodes, also when extraction throws.
+  struct Reset {
+    BallScratch& s;
+    ~Reset() {
+      for (const Node u : s.ball) {
+        s.dist[static_cast<std::size_t>(u)] = -1;
+        s.local[static_cast<std::size_t>(u)] = -1;
+      }
+      s.ball.clear();
+    }
+  };
+};
+
+BallScratch& ball_scratch(int num_nodes) {
+  thread_local BallScratch scratch;
+  const auto n = static_cast<std::size_t>(num_nodes);
+  if (scratch.dist.size() < n) {
+    scratch.dist.resize(n, -1);
+    scratch.local.resize(n, -1);
+  }
+  return scratch;
+}
+
+}  // namespace
 
 View extract_view(const Graph& g, const PortAssignment& ports,
                   const IdAssignment* ids, const Labeling& labels, int r,
@@ -17,16 +51,31 @@ View extract_view(const Graph& g, const PortAssignment& ports,
     SHLCP_CHECK(ids->num_nodes() == g.num_nodes());
   }
 
-  const auto dist = bfs_distances(g, v);
-  // Local index map: nodes of N^r(v) in increasing global order.
-  std::vector<Node> locals;
-  for (Node u = 0; u < g.num_nodes(); ++u) {
-    if (dist[static_cast<std::size_t>(u)] != -1 &&
-        dist[static_cast<std::size_t>(u)] <= r) {
-      locals.push_back(u);
+  // The ball N^r(v), by a BFS that stops at radius r. Only the ball is
+  // visited, and the scratch entries it marks are reset on return, so
+  // one extraction costs O(ball), not O(n).
+  BallScratch& scratch = ball_scratch(g.num_nodes());
+  const BallScratch::Reset reset{scratch};
+  std::vector<int>& dist = scratch.dist;
+  std::vector<Node>& locals = scratch.ball;
+  dist[static_cast<std::size_t>(v)] = 0;
+  locals.push_back(v);
+  for (std::size_t head = 0; head < locals.size(); ++head) {
+    const Node x = locals[head];
+    const int dx = dist[static_cast<std::size_t>(x)];
+    if (dx == r) {
+      continue;
+    }
+    for (const Node y : g.neighbors(x)) {
+      if (dist[static_cast<std::size_t>(y)] == -1) {
+        dist[static_cast<std::size_t>(y)] = dx + 1;
+        locals.push_back(y);
+      }
     }
   }
-  std::vector<int> local_of(static_cast<std::size_t>(g.num_nodes()), -1);
+  // Local index map: nodes of N^r(v) in increasing global order.
+  std::sort(locals.begin(), locals.end());
+  std::vector<int>& local_of = scratch.local;
   for (std::size_t i = 0; i < locals.size(); ++i) {
     local_of[static_cast<std::size_t>(locals[i])] = static_cast<int>(i);
   }

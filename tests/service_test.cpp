@@ -22,9 +22,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1124,6 +1126,233 @@ TEST(SocketServer, SessionCapFollowsTheConnectionNotItsSlot) {
   token.request_stop(StopReason::kCancelRequested);
   server.join();
   EXPECT_EQ(exit_code, 0);
+}
+
+// ---------------------------------------------------------------------
+// One poll loop per thread (DESIGN.md §15).
+
+/// A dispatcher that lets a test hold one loop busy. A request whose
+/// params carry "gate" waits until the test opens the gate, or for
+/// kGateTimeout, and its result says whether the gate was opened in
+/// time. `health` answers the loops' queue counters. Connection closes
+/// are counted.
+class GatedDispatcher final : public Dispatcher {
+ public:
+  static constexpr std::chrono::seconds kGateTimeout{5};
+
+  GatedDispatcher() : Dispatcher("gated") {}
+
+  /// Blocks until a gated request is being served.
+  bool wait_gated() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kGateTimeout, [&] { return gated_; });
+  }
+
+  void open_gate() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  /// Blocks until `count` connections have been closed.
+  bool wait_closed(int count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kGateTimeout, [&] { return closed_ >= count; });
+  }
+
+  void connection_closed(std::int64_t /*conn*/) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++closed_;
+    cv_.notify_all();
+  }
+
+ private:
+  std::string serve(Admitted& request) override {
+    Json result = Json::object();
+    if (request.op.route == OpRoute::kFanOutHealth) {
+      result["queue"] = queue_health();
+    } else if (request.req.params.contains("gate")) {
+      std::unique_lock<std::mutex> lock(mu_);
+      gated_ = true;
+      cv_.notify_all();
+      result["opened"] =
+          cv_.wait_for(lock, kGateTimeout, [&] { return open_; });
+    }
+    return ok_response(request.req.id, std::move(result), false).dump();
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool gated_ = false;
+  bool open_ = false;
+  int closed_ = 0;
+};
+
+Json gated_request(std::int64_t id) {
+  Json params = Json::object();
+  params["gate"] = true;
+  return make_request(id, "info", std::move(params));
+}
+
+/// A two-loop unix-socket server behind a GatedDispatcher.
+class TwoLoops : public ::testing::Test {
+ protected:
+  void start(std::size_t queue_max = 512) {
+    path_ = (fs::path(::testing::TempDir()) / "shlcp_loops.sock").string();
+    options_.cancel = &token_;
+    options_.dispatcher = &gated_;
+    options_.num_threads = 2;
+    options_.queue_max = queue_max;
+    options_.conn_inflight_max = 0;
+    TransportSpec spec;
+    spec.unix_path = path_;
+    server_ = std::thread([this, spec] {
+      exit_code_ = serve_transports(spec, options_);
+    });
+  }
+
+  /// A connection that has been answered once, so it is placed.
+  int connect() {
+    const int fd = connect_unix(path_);
+    EXPECT_GE(fd, 0);
+    EXPECT_TRUE(call_on(fd, make_request(0, "info", Json::object()))
+                    .at("ok")
+                    .as_bool());
+    fds_.push_back(fd);
+    return fd;
+  }
+
+  void TearDown() override {
+    gated_.open_gate();
+    token_.request_stop(StopReason::kCancelRequested);
+    if (server_.joinable()) {
+      server_.join();
+    }
+    EXPECT_EQ(exit_code_, 0);
+    for (const int fd : fds_) {
+      ::close(fd);
+    }
+  }
+
+  GatedDispatcher gated_;
+  CancelToken token_;
+  ServerOptions options_;
+  std::string path_;
+  std::thread server_;
+  int exit_code_ = -1;
+  std::vector<int> fds_;
+};
+
+void write_frames(int fd, const std::vector<Json>& requests) {
+  std::string burst;
+  for (const Json& request : requests) {
+    burst += encode_frame(request.dump());
+  }
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+}
+
+/// Reads the next reply on fd (a fresh reader: replies arrive one frame
+/// per read here, as the test waits for each before the next is sent).
+Json next_reply(int fd, FrameReader& reader) {
+  const std::optional<std::string> body = read_frame(fd, reader);
+  EXPECT_TRUE(body.has_value());
+  return body.has_value() ? Json::parse(*body) : Json();
+}
+
+// A request that takes long holds only its own loop: connection b, on
+// the other loop, is answered while a's request is still running.
+TEST_F(TwoLoops, ASlowRequestDoesNotHoldTheOtherLoop) {
+  start();
+  const int a = connect();
+  const int b = connect();
+  write_frames(a, {gated_request(1)});
+  ASSERT_TRUE(gated_.wait_gated());
+  EXPECT_TRUE(call_on(b, make_request(2, "info", Json::object()))
+                  .at("ok")
+                  .as_bool());
+  gated_.open_gate();
+  FrameReader reader;
+  const Json held = next_reply(a, reader);
+  EXPECT_TRUE(ok_result(held).at("opened").as_bool())
+      << "b was answered only after a's request gave up";
+}
+
+// Accepting never waits for a request: a connection opened while a
+// request is held on one loop is accepted and answered by the other,
+// also once the loops tie on live connections.
+TEST_F(TwoLoops, ConnectionsOpenedWhileALoopIsHeldAreServed) {
+  start();
+  const int a = connect();
+  write_frames(a, {gated_request(1)});
+  ASSERT_TRUE(gated_.wait_gated());
+  connect();  // b: the other loop has fewer live connections
+  connect();  // c: one each now; the idle loop accepted it and keeps it
+  gated_.open_gate();
+  FrameReader reader;
+  EXPECT_TRUE(ok_result(next_reply(a, reader)).at("opened").as_bool())
+      << "a new connection waited for the held request";
+}
+
+// Each loop has its own queue, but queue_max caps their sum, and the
+// health counters are exact sums over the loops.
+TEST_F(TwoLoops, QueueCapIsGlobalAndHealthSumsTheLoops) {
+  start(/*queue_max=*/3);
+  const int a = connect();
+  const int b = connect();  // 2 admitted so far
+  // a's loop reads all three at once, admits them and holds the first:
+  // two of a's requests stay queued.
+  write_frames(a, {gated_request(1), make_request(2, "info", Json::object()),
+                   make_request(3, "info", Json::object())});
+  ASSERT_TRUE(gated_.wait_gated());
+  // b's loop sees a global depth of 2: it admits one more and sheds two.
+  write_frames(b, {make_request(4, "health", Json::object()),
+                   make_request(5, "info", Json::object()),
+                   make_request(6, "info", Json::object())});
+  FrameReader b_reader;
+  const Json during = next_reply(b, b_reader);
+  const Json queue = ok_result(during).at("queue");
+  EXPECT_EQ(queue.at("depth").as_uint(), 2u) << during.dump();
+  EXPECT_EQ(queue.at("max").as_uint(), 3u);
+  for (const std::int64_t id : {5, 6}) {
+    const Json shed = next_reply(b, b_reader);
+    EXPECT_EQ(shed.at("id").as_int(), id);
+    EXPECT_EQ(error_code(shed), kErrOverloaded) << shed.dump();
+  }
+  gated_.open_gate();
+  FrameReader a_reader;
+  for (const std::int64_t id : {1, 2, 3}) {
+    const Json reply = next_reply(a, a_reader);
+    EXPECT_EQ(reply.at("id").as_int(), id);
+    EXPECT_TRUE(reply.at("ok").as_bool()) << reply.dump();
+  }
+  const Json after = ok_result(
+      call_on(b, make_request(7, "health", Json::object())))
+                         .at("queue");
+  EXPECT_EQ(after.at("depth").as_uint(), 0u);
+  EXPECT_EQ(after.at("admitted").as_uint(), 7u);  // 2 + 3 + 1 + 1
+  EXPECT_EQ(after.at("shed").as_uint(), 2u);
+}
+
+// Placement counts live connections: a short-lived connection accepted
+// between two long-lived ones does not put them on the same loop.
+TEST_F(TwoLoops, LongLivedConnectionsLandOnDifferentLoops) {
+  start();
+  const int a = connect();
+  const int brief = connect();
+  ::close(brief);
+  fds_.pop_back();
+  ASSERT_TRUE(gated_.wait_closed(1));
+  const int b = connect();
+  write_frames(a, {gated_request(1)});
+  ASSERT_TRUE(gated_.wait_gated());
+  EXPECT_TRUE(call_on(b, make_request(2, "info", Json::object()))
+                  .at("ok")
+                  .as_bool());
+  gated_.open_gate();
+  FrameReader reader;
+  EXPECT_TRUE(ok_result(next_reply(a, reader)).at("opened").as_bool())
+      << "a and b share a loop";
 }
 
 // One end-of-stream rule for every connection: a client that pipelines
