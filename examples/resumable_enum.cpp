@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
   options.enums.all_id_orders = (decoder == "spanning-bfs");
   options.enums.all_ports = !options.enums.all_id_orders;
   options.num_threads = threads;
-  options.frames_per_chunk = 2;
   options.checkpoint.directory = ckpt_dir;
   options.checkpoint.every_frames = every;
   options.budget.max_frames = max_frames;

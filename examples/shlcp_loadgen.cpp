@@ -81,7 +81,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -119,6 +121,18 @@ using shlcp::Json;
 using shlcp::svc::ChaosPlan;
 using shlcp::svc::encode_frame;
 using shlcp::svc::FrameReader;
+
+/// Parses one response body. Bytes that are not JSON give nullopt and a
+/// stderr line, so the caller counts the response as an error instead of
+/// the process ending on an uncaught CheckError.
+std::optional<Json> parse_response(std::string_view bytes) {
+  try {
+    return Json::parse(bytes);
+  } catch (const shlcp::CheckError& e) {
+    std::fprintf(stderr, "loadgen: unparsable response: %s\n", e.what());
+    return std::nullopt;
+  }
+}
 
 struct Endpoint {
   int write_fd = -1;
@@ -380,9 +394,9 @@ int run_resilient(const std::string& target, std::uint64_t total,
     shlcp::svc::Client client(
         shlcp::svc::Client::connector_for(target, options.chaos), options);
     const shlcp::svc::CallResult r = client.call("info", Json::object());
-    if (r.ok) {
-      const Json result = Json::parse(r.result_dump);
-      hit_rate = result.at("cache").at("hit_rate").as_double();
+    if (const std::optional<Json> result =
+            r.ok ? parse_response(r.result_dump) : std::nullopt) {
+      hit_rate = result->at("cache").at("hit_rate").as_double();
     }
   }
 
@@ -529,8 +543,13 @@ int run_interactive(const std::string& target, std::uint64_t total,
             failed = true;
             break;
           }
-          const Json committed = Json::parse(r.result_dump);
-          const Json& challenge = committed.at("reply").at("challenge");
+          const std::optional<Json> committed = parse_response(r.result_dump);
+          if (!committed.has_value()) {
+            r.error_code = "unparsable";
+            failed = true;
+            break;
+          }
+          const Json& challenge = committed->at("reply").at("challenge");
           Json open = Json::object();
           open["type"] = "open";
           Json& opens = (open["opens"] = Json::array());
@@ -550,9 +569,14 @@ int run_interactive(const std::string& target, std::uint64_t total,
             failed = true;
             break;
           }
-          const Json stepped = Json::parse(r.result_dump);
-          if (stepped.at("completed").as_bool()) {
-            verdict = stepped.at("reply").at("verdict").as_bool();
+          const std::optional<Json> stepped = parse_response(r.result_dump);
+          if (!stepped.has_value()) {
+            r.error_code = "unparsable";
+            failed = true;
+            break;
+          }
+          if (stepped->at("completed").as_bool()) {
+            verdict = stepped->at("reply").at("verdict").as_bool();
           }
         }
         if (failed) {
@@ -834,7 +858,17 @@ int main(int argc, char** argv) {
     std::string frame;
     std::string error;
     while (reader.next(&frame, &error) == FrameReader::Next::kFrame) {
-      const Json resp = Json::parse(frame);
+      const std::optional<Json> parsed = parse_response(frame);
+      if (!parsed.has_value()) {
+        // The frame names no request, so it stands in for one answer:
+        // an error, and the run still ends once every request is done.
+        OpTally& tally = tallies["unparsable"];
+        ++tally.count;
+        ++tally.errors;
+        ++done;
+        continue;
+      }
+      const Json& resp = *parsed;
       const std::uint64_t id = resp.at("id").as_uint();
       const auto it = outstanding.find(id);
       if (it == outstanding.end()) {
@@ -889,11 +923,10 @@ int main(int argc, char** argv) {
         }
         reader.feed(std::string_view(buf, static_cast<std::size_t>(n)));
       }
-      if (!frame.empty()) {
-        const Json resp = Json::parse(frame);
-        if (resp.at("ok").as_bool()) {
-          hit_rate = resp.at("result").at("cache").at("hit_rate").as_double();
-        }
+      const std::optional<Json> resp =
+          frame.empty() ? std::nullopt : parse_response(frame);
+      if (resp.has_value() && resp->at("ok").as_bool()) {
+        hit_rate = resp->at("result").at("cache").at("hit_rate").as_double();
       }
     }
   }

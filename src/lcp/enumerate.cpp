@@ -234,32 +234,6 @@ bool for_each_labeled_instance(
   return true;
 }
 
-bool for_each_proved_instance(
-    const Lcp& lcp, const std::vector<Graph>& graphs, const EnumOptions& options,
-    const std::function<bool(const Instance&)>& visit) {
-  for (const Graph& g : graphs) {
-    const bool keep_going = for_each_frame(
-        g, options, [&](const PortAssignment& ports, const IdAssignment& ids) {
-          frames_counter().inc();
-          auto labels = lcp.prove(g, ports, ids);
-          if (!labels.has_value()) {
-            return true;
-          }
-          proved_counter().inc();
-          Instance inst;
-          inst.g = g;
-          inst.ports = ports;
-          inst.ids = ids;
-          inst.labels = std::move(*labels);
-          return visit(inst);
-        });
-    if (!keep_going) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<Graph> filter_yes_graphs(const std::vector<Graph>& candidates,
                                      int k) {
   std::vector<Graph> out;

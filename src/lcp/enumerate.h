@@ -47,8 +47,8 @@ struct CheckpointOptions {
   /// Checkpoint directory (created on demand); empty disables
   /// checkpointing entirely.
   std::string directory;
-  /// Checkpoint cadence: a manifest is written roughly every this many
-  /// completed frames (rounded up to whole chunks).
+  /// Checkpoint cadence: a manifest is written every this many completed
+  /// frames.
   std::uint64_t every_frames = 64;
   /// Resume from an existing manifest in `directory` when one is
   /// present (a mismatching manifest is a loud CheckError, never a
@@ -65,17 +65,10 @@ struct ParallelEnumOptions {
   /// Dimension toggles, shared with the sequential stream.
   EnumOptions enums;
   /// Worker threads; 0 resolves via SHLCP_NUM_THREADS, then the hardware
-  /// (util/parallel.h). 1 forces the sequential path.
+  /// (util/parallel.h). The sweep is cut into chunks by a cost-adaptive
+  /// plan (frame_costs + adaptive_plan in util/parallel.h): cheap frames
+  /// batch into coarse chunks, dense frames get chunks of their own.
   int num_threads = 0;
-  /// Work-unit shape. 0 (the default) builds a cost-adaptive chunk plan
-  /// from per-frame labeling counts (frame_costs + adaptive_plan in
-  /// util/parallel.h): cheap frames batch into coarse chunks, dense
-  /// frames get chunks of their own. A value >= 1 pins fixed uniform
-  /// chunks of that many frames (or instances, for explicit witness
-  /// lists) -- the legacy layout, still used by tests that want to
-  /// stress shard merging with single-frame chunks. Either way chunks
-  /// are contiguous, so the merged result is identical.
-  int frames_per_chunk = 0;
   /// Per-build resource caps (util/budget.h). Default: unlimited. A
   /// non-default budget requires the *_resumable builders -- the plain
   /// NbhdGraph-returning builders fail loudly on an early exit rather
@@ -91,13 +84,6 @@ struct ParallelEnumOptions {
   /// counter stalls for this long is cancelled with StopReason::kStall
   /// (util/parallel.h). 0 disables the watchdog.
   std::uint64_t stall_timeout_ms = 0;
-
-  /// True iff nothing interrupt-related is configured, i.e. the build
-  /// can take the legacy uninstrumented path bit-identically.
-  [[nodiscard]] bool plain() const {
-    return budget.unlimited() && !checkpoint.enabled() && cancel == nullptr &&
-           stall_timeout_ms == 0;
-  }
 };
 
 /// One (graph, ports, ids) frame of the sweep. `graph_index` indexes the
@@ -168,14 +154,6 @@ std::optional<Instance> proved_instance_in_frame(
 /// the enabled dimensions and every labeling from `lcp.certificate_space`.
 /// Return false from `visit` to stop early; returns false iff stopped.
 bool for_each_labeled_instance(
-    const Lcp& lcp, const std::vector<Graph>& graphs, const EnumOptions& options,
-    const std::function<bool(const Instance&)>& visit);
-
-/// Visits only the *honestly labeled* instances: each (graph, ports, ids)
-/// frame with the prover's certificates (skipping frames the prover
-/// declines). This is the cheap stream for completeness sweeps and for
-/// seeding the neighborhood graph with the certificates that matter.
-bool for_each_proved_instance(
     const Lcp& lcp, const std::vector<Graph>& graphs, const EnumOptions& options,
     const std::function<bool(const Instance&)>& visit);
 

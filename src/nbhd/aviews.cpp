@@ -1,6 +1,7 @@
 #include "nbhd/aviews.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -28,91 +29,33 @@ void finish_build(const NbhdGraph& nbhd, trace::Span& span) {
   span.note("absorb_ns", nbhd.stats().absorb_ns);
 }
 
-/// Builds the work-distribution plan for a sweep of `num_items` items:
-/// frames_per_chunk >= 1 pins the legacy fixed uniform chunks, 0 (the
-/// default) cuts a cost-adaptive plan from `costs` (per-item labeling
-/// counts; an empty vector means no cost model -- unit costs, giving
-/// evenly-sized chunks of about total / (threads * 8) items).
-ChunkPlan make_plan(std::size_t num_items, const ParallelEnumOptions& options,
-                    int threads, const std::vector<std::uint64_t>& costs) {
-  if (options.frames_per_chunk >= 1) {
-    return uniform_plan(num_items,
-                        static_cast<std::size_t>(options.frames_per_chunk));
-  }
-  if (!costs.empty()) {
-    SHLCP_CHECK_MSG(costs.size() == num_items,
-                    "cost model must cover every item of the sweep");
-    return adaptive_plan(costs, threads);
-  }
-  return adaptive_plan(std::vector<std::uint64_t>(num_items, 1), threads);
+/// Whether anything can stop a sweep before its last item: a budget, a
+/// checkpoint, an external token or a stall watchdog.
+bool interruptible(const ParallelEnumOptions& options) {
+  return !options.budget.unlimited() || options.checkpoint.enabled() ||
+         options.cancel != nullptr || options.stall_timeout_ms != 0;
 }
 
-/// Shared shard/merge skeleton: runs `item_body(i, shard)` for every item
-/// in [0, num_items), distributed across a worker pool by a chunk plan
-/// (cost-adaptive by default, fixed when frames_per_chunk is pinned), and
-/// merges the per-chunk shards in plan order. With one thread (or one
-/// chunk) it degenerates to a plain sequential loop into a single graph,
-/// which is also the reference semantics the merge path must reproduce.
-NbhdGraph build_sharded(
-    std::size_t num_items, const ParallelEnumOptions& options,
-    const std::vector<std::uint64_t>& costs,
-    const std::function<void(std::size_t, NbhdGraph&)>& item_body) {
-  const int threads = resolve_num_threads(options.num_threads);
-  const ChunkPlan plan = make_plan(num_items, options, threads, costs);
-  trace::Span span("nbhd.build");
-  span.note("items", static_cast<std::uint64_t>(num_items));
-  if (threads <= 1 || plan.num_chunks() <= 1) {
-    span.note("threads", std::uint64_t{1});
-    NbhdGraph out;
-    for (std::size_t i = 0; i < num_items; ++i) {
-      item_body(i, out);
-    }
-    finish_build(out, span);
-    return out;
-  }
-  span.note("threads", static_cast<std::uint64_t>(threads));
-  span.note("chunks", static_cast<std::uint64_t>(plan.num_chunks()));
-  span.note("adaptive", plan.adaptive);
-  static metrics::Histogram& shard_hist =
-      metrics::histogram("nbhd.build.shard_absorb_ns");
-  std::vector<NbhdGraph> shards(plan.num_chunks());
-  WorkerPool pool(threads);
-  const CancellableChunkBody chunk_body =
-      [&](std::size_t chunk_index, std::size_t begin, std::size_t end) {
-        trace::Span shard_span("nbhd.build.shard");
-        shard_span.note("chunk", static_cast<std::uint64_t>(chunk_index));
-        shard_span.note("items", static_cast<std::uint64_t>(end - begin));
-        NbhdGraph& shard = shards[chunk_index];
-        for (std::size_t i = begin; i < end; ++i) {
-          item_body(i, shard);
-        }
-        shard_hist.record(shard.stats().absorb_ns);
-        return true;
-      };
-  const ParallelRunResult run =
-      pool.run_plan(plan, chunk_body, ParallelRunControl{});
-  span.note("steals", static_cast<std::uint64_t>(run.steals));
-  NbhdGraph out;
-  {
-    trace::Span merge_span("nbhd.build.merge");
-    merge_span.note("shards", static_cast<std::uint64_t>(plan.num_chunks()));
-    static metrics::Histogram& merge_hist =
-        metrics::histogram("nbhd.build.merge_ns");
-    const metrics::ScopedTimerNs merge_timer(merge_hist);
-    for (NbhdGraph& shard : shards) {
-      out.merge(std::move(shard));
-    }
-  }
-  finish_build(out, span);
-  return out;
-}
-
-/// Per-frame work of a resumable build: absorb `frame` into `shard`,
-/// reporting progress to `tracker`. Returns false iff the frame was
-/// aborted mid-way by a hard stop (the enclosing chunk is then discarded
-/// from the completed prefix).
-using FrameBody = std::function<bool(const EnumFrame& frame, NbhdGraph& shard,
-                                     BudgetTracker& tracker)>;
+/// One sweep of the engine: `num_items` items (frames, or the instances
+/// of an explicit list), each absorbed by `body` in item order.
+struct Sweep {
+  /// "exhaustive", "proved" or "instances"; names the sweep in its trace
+  /// span and its checkpoint manifest.
+  const char* kind = "";
+  std::size_t num_items = 0;
+  /// Per-item work estimates for the adaptive chunk plans, asked for only
+  /// when the sweep runs on the pool. Null means unit costs.
+  std::function<std::vector<std::uint64_t>()> costs;
+  /// The manifest template describing this sweep (a found manifest must
+  /// match it field by field before its state is trusted). Null for an
+  /// instance list, whose builder rejects checkpoint options up front.
+  std::function<CheckpointManifest()> manifest;
+  /// Absorbs item i into `shard`, reporting progress to `tracker`.
+  /// Returns false iff a hard stop aborted the item midway (the
+  /// enclosing chunk is then discarded from the completed prefix).
+  std::function<bool(std::size_t i, NbhdGraph& shard, BudgetTracker& tracker)>
+      body;
+};
 
 /// Rejects a resume whose manifest describes a different sweep. Every
 /// mismatch is a CheckError with a one-line repro string.
@@ -154,47 +97,34 @@ void validate_resume(const CheckpointManifest& found,
   }
 }
 
-/// The budget/cancellation/checkpoint engine shared by the resumable
-/// builders. Frames are processed in contiguous chunks grouped into
-/// *segments* (the checkpoint cadence, rounded up to whole chunks when a
-/// fixed chunk size is pinned; one segment for the whole sweep when
-/// checkpointing is off); each segment is chunked by its own plan
-/// (cost-adaptive by default -- resume-safe because the merged result
-/// never depends on chunk boundaries), and after each segment the
-/// completed chunk prefix is merged into the accumulator in plan order
-/// -- exactly the sequential absorption order -- and, when a checkpoint
-/// directory is configured, persisted. See DESIGN.md §11 for why this
-/// makes interrupted-then-resumed builds bit-identical. `costs` is the
-/// optional per-frame cost model for the adaptive plans (parallel to
-/// `frames`; empty means unit costs).
-ResumableBuildResult run_resumable(const Lcp& lcp,
-                                   const std::vector<EnumFrame>& frames,
-                                   const std::vector<std::uint64_t>& costs,
-                                   const ParallelEnumOptions& options,
-                                   const char* kind, const FrameBody& body) {
-  const std::size_t num_frames = frames.size();
-  const bool fixed_chunks = options.frames_per_chunk >= 1;
-  const auto chunk =
-      static_cast<std::size_t>(std::max(1, options.frames_per_chunk));
+/// The one V(D, n) build engine: every builder runs its sweep here.
+///
+/// With one thread and nothing that can interrupt the sweep, every item
+/// is absorbed straight into the result: no pool, shards or merge.
+/// Otherwise items are processed in contiguous chunks grouped into
+/// *segments* (the checkpoint cadence; one segment for the whole sweep
+/// when checkpointing is off). Each segment is chunked by its own
+/// cost-adaptive plan -- resume-safe because the merged result never
+/// depends on chunk boundaries -- and after each segment the completed
+/// chunk prefix is merged into the accumulator in plan order, exactly
+/// the sequential absorption order, and persisted when a checkpoint
+/// directory is configured. See DESIGN.md §11 for why this makes
+/// interrupted-then-resumed builds bit-identical.
+ResumableBuildResult run_resumable(const Sweep& sweep,
+                                   const ParallelEnumOptions& options) {
+  const std::size_t num_items = sweep.num_items;
+  const int threads = resolve_num_threads(options.num_threads);
 
   ResumableBuildResult result;
-  result.num_frames = num_frames;
+  result.num_frames = num_items;
+  NbhdGraph& acc = result.nbhd;
 
-  // Manifest template describing *this* sweep; a found manifest must
-  // match it field by field before its state is trusted.
-  CheckpointManifest expected;
   std::optional<CheckpointStore> store;
+  CheckpointManifest expected;
   if (options.checkpoint.enabled()) {
     store.emplace(options.checkpoint.directory);
     result.manifest_path = store->manifest_path();
-    expected.git = checkpoint_git_rev();
-    expected.decoder = lcp.decoder().name();
-    expected.build = kind;
-    expected.k = lcp.k();
-    expected.options_hash =
-        enum_options_hash(expected.decoder, kind, lcp.k(), options.enums);
-    expected.num_frames = num_frames;
-    expected.frames_digest = frames_digest(frames);
+    expected = sweep.manifest();
   }
 
   // The budget clock starts here, after the manifest's one-off setup
@@ -205,12 +135,21 @@ ResumableBuildResult run_resumable(const Lcp& lcp,
   BudgetTracker tracker(options.budget, token);
 
   trace::Span span("nbhd.build");
-  span.note("items", static_cast<std::uint64_t>(num_frames));
-  span.note("kind", Json(std::string(kind)));
-  span.note("resumable", true);
+  span.note("items", static_cast<std::uint64_t>(num_items));
+  span.note("kind", Json(std::string(sweep.kind)));
+  span.note("threads", static_cast<std::uint64_t>(threads));
+
+  if (threads == 1 && !interruptible(options)) {
+    for (std::size_t i = 0; i < num_items; ++i) {
+      sweep.body(i, acc, tracker);
+    }
+    result.complete = true;
+    result.frames_done = num_items;
+    finish_build(acc, span);
+    return result;
+  }
 
   std::size_t pos = 0;
-  NbhdGraph acc;
   if (store.has_value() && options.checkpoint.resume && store->has_manifest()) {
     CheckpointStore::Loaded loaded = store->load();
     validate_resume(loaded.manifest, expected, store->manifest_path());
@@ -225,26 +164,23 @@ ResumableBuildResult run_resumable(const Lcp& lcp,
                   {"manifest", Json(store->manifest_path())}});
   }
 
-  const int threads = resolve_num_threads(options.num_threads);
-  span.note("threads", static_cast<std::uint64_t>(threads));
+  const std::vector<std::uint64_t> costs =
+      sweep.costs != nullptr ? sweep.costs() : std::vector<std::uint64_t>{};
   WorkerPool pool(threads);
   static metrics::Histogram& shard_hist =
       metrics::histogram("nbhd.build.shard_absorb_ns");
+  static metrics::Histogram& merge_hist =
+      metrics::histogram("nbhd.build.merge_ns");
 
   // The frame budget caps frames started *this run* (not since the
   // original sweep began), enforced deterministically by frame index so
   // the completed prefix under a tiny budget still grows every run.
   const std::size_t run_start = pos;
-
-  // Segment length: the checkpoint cadence (rounded up to whole chunks
-  // under a pinned chunk size; adaptive plans re-cut per segment, so no
-  // rounding is needed there).
-  std::size_t seg_frames = num_frames == 0 ? 1 : num_frames;
-  if (store.has_value()) {
-    const auto every = static_cast<std::size_t>(
-        std::max<std::uint64_t>(1, options.checkpoint.every_frames));
-    seg_frames = fixed_chunks ? (every + chunk - 1) / chunk * chunk : every;
-  }
+  const std::size_t seg_len =
+      store.has_value()
+          ? static_cast<std::size_t>(
+                std::max<std::uint64_t>(1, options.checkpoint.every_frames))
+          : std::max<std::size_t>(1, num_items);
 
   const auto write_checkpoint = [&](const char* status,
                                     StopReason stop_reason) {
@@ -265,24 +201,24 @@ ResumableBuildResult run_resumable(const Lcp& lcp,
   };
 
   bool stopped = false;
-  while (pos < num_frames && !stopped) {
+  while (pos < num_items && !stopped) {
     if (tracker.should_stop()) {
       stopped = true;
       break;
     }
     const std::size_t seg_begin = pos;
-    const std::size_t seg_items = std::min(num_frames - seg_begin, seg_frames);
+    const std::size_t seg_items = std::min(num_items - seg_begin, seg_len);
     // Plan this segment's chunks. Resume safety does not depend on the
     // boundaries: merging any contiguous in-order chunking reproduces
     // the sequential build, so a resumed run may cut different chunks
     // than the interrupted one and still converge bit-identically.
-    std::vector<std::uint64_t> seg_costs;
-    if (!fixed_chunks && !costs.empty()) {
-      seg_costs.assign(costs.begin() + static_cast<std::ptrdiff_t>(seg_begin),
-                       costs.begin() +
-                           static_cast<std::ptrdiff_t>(seg_begin + seg_items));
-    }
-    const ChunkPlan plan = make_plan(seg_items, options, threads, seg_costs);
+    const auto seg_cost = costs.begin() + static_cast<std::ptrdiff_t>(seg_begin);
+    const ChunkPlan plan = adaptive_plan(
+        costs.empty() ? std::vector<std::uint64_t>(seg_items, 1)
+                      : std::vector<std::uint64_t>(
+                            seg_cost,
+                            seg_cost + static_cast<std::ptrdiff_t>(seg_items)),
+        threads);
     std::vector<NbhdGraph> shards(plan.num_chunks());
     ParallelRunControl ctrl;
     ctrl.cancel = &token;
@@ -298,6 +234,9 @@ ResumableBuildResult run_resumable(const Lcp& lcp,
             token.request_stop(StopReason::kFrameBudget);
             return false;
           }
+          trace::Span shard_span("nbhd.build.shard");
+          shard_span.note("chunk", static_cast<std::uint64_t>(chunk_index));
+          shard_span.note("items", static_cast<std::uint64_t>(end - begin));
           tracker.add_frames(end - begin);
           NbhdGraph& shard = shards[chunk_index];
           for (std::size_t i = begin; i < end; ++i) {
@@ -310,7 +249,7 @@ ResumableBuildResult run_resumable(const Lcp& lcp,
                 return false;
               }
             }
-            if (!body(frames[seg_begin + i], shard, tracker)) {
+            if (!sweep.body(seg_begin + i, shard, tracker)) {
               return false;
             }
           }
@@ -318,28 +257,34 @@ ResumableBuildResult run_resumable(const Lcp& lcp,
           return true;
         },
         ctrl);
-    const std::size_t done_items =
-        run.completed_prefix_chunks == 0
-            ? 0
-            : plan.ranges[run.completed_prefix_chunks - 1].second;
-    for (std::size_t ci = 0; ci < run.completed_prefix_chunks; ++ci) {
-      acc.merge(std::move(shards[ci]));
+    const std::size_t done_chunks = run.completed_prefix_chunks;
+    // Every early stop names its reason on the token before the chunk
+    // body returns false; a stopped run without one lost a chunk.
+    SHLCP_CHECK_MSG(
+        !run.stopped() || token.stop_requested(),
+        format("%s build lost chunk %zu of %zu (items [%zu, %zu)): the pool "
+               "stopped with no stop reason",
+               sweep.kind, done_chunks, plan.num_chunks(),
+               seg_begin + plan.ranges[done_chunks].first,
+               seg_begin + plan.ranges[done_chunks].second));
+    {
+      trace::Span merge_span("nbhd.build.merge");
+      merge_span.note("shards", static_cast<std::uint64_t>(done_chunks));
+      const metrics::ScopedTimerNs merge_timer(merge_hist);
+      for (std::size_t ci = 0; ci < done_chunks; ++ci) {
+        acc.merge(std::move(shards[ci]));
+      }
     }
-    pos += done_items;
-    if (run.stopped() || token.stop_requested()) {
-      stopped = true;
-    }
-    if (store.has_value() && !stopped && pos < num_frames) {
+    pos += done_chunks == 0 ? 0 : plan.ranges[done_chunks - 1].second;
+    stopped = token.stop_requested();
+    if (store.has_value() && !stopped && pos < num_items) {
       write_checkpoint("in_progress", StopReason::kNone);
     }
   }
 
-  result.complete = pos == num_frames;
+  result.complete = pos == num_items;
   result.frames_done = pos;
   result.stop_reason = result.complete ? StopReason::kNone : token.reason();
-  if (!result.complete && result.stop_reason == StopReason::kNone) {
-    result.stop_reason = StopReason::kCancelRequested;
-  }
 
   if (store.has_value()) {
     write_checkpoint(result.complete ? "complete" : "in_progress",
@@ -358,21 +303,32 @@ ResumableBuildResult run_resumable(const Lcp& lcp,
         "enum.cancelled",
         {{"stop_reason", Json(std::string(to_string(result.stop_reason)))},
          {"frames_done", static_cast<std::uint64_t>(pos)},
-         {"num_frames", static_cast<std::uint64_t>(num_frames)}});
+         {"num_frames", static_cast<std::uint64_t>(num_items)}});
   }
-  result.nbhd = std::move(acc);
   return result;
 }
 
-/// Per-frame labeling counts for the adaptive planner -- skipped (empty)
-/// when a fixed chunk size is pinned, since the plan would ignore them.
-std::vector<std::uint64_t> maybe_frame_costs(
-    const Lcp& lcp, const std::vector<Graph>& graphs,
-    const std::vector<EnumFrame>& frames, const ParallelEnumOptions& options) {
-  if (options.frames_per_chunk >= 1) {
-    return {};
-  }
-  return frame_costs(lcp, graphs, frames);
+/// The manifest template of a frame sweep.
+CheckpointManifest frame_manifest(const Lcp& lcp,
+                                  const std::vector<EnumFrame>& frames,
+                                  const EnumOptions& enums, const char* kind) {
+  CheckpointManifest m;
+  m.git = checkpoint_git_rev();
+  m.decoder = lcp.decoder().name();
+  m.build = kind;
+  m.k = lcp.k();
+  m.options_hash = enum_options_hash(m.decoder, kind, lcp.k(), enums);
+  m.num_frames = frames.size();
+  m.frames_digest = frames_digest(frames);
+  return m;
+}
+
+/// The options of a one-thread build that nothing interrupts.
+ParallelEnumOptions one_thread(const EnumOptions& enums) {
+  ParallelEnumOptions options;
+  options.enums = enums;
+  options.num_threads = 1;
+  return options;
 }
 
 /// Error for the plain overloads when an interrupt-aware build did not
@@ -388,36 +344,26 @@ std::vector<std::uint64_t> maybe_frame_costs(
              static_cast<unsigned long long>(res.num_frames)));
 }
 
+/// The plain overloads' result: the graph of a complete build, else
+/// throw_incomplete -- a truncated V(D, n) is never returned silently.
+NbhdGraph take_complete(const char* builder, ResumableBuildResult&& res) {
+  if (!res.complete) {
+    throw_incomplete(builder, res);
+  }
+  return std::move(res.nbhd);
+}
+
 }  // namespace
 
 NbhdGraph build_exhaustive(const Lcp& lcp, const std::vector<Graph>& graphs,
                            const EnumOptions& options) {
-  ParallelEnumOptions sequential;
-  sequential.enums = options;
-  sequential.num_threads = 1;
-  return build_exhaustive(lcp, graphs, sequential);
+  return build_exhaustive(lcp, graphs, one_thread(options));
 }
 
 NbhdGraph build_exhaustive(const Lcp& lcp, const std::vector<Graph>& graphs,
                            const ParallelEnumOptions& options) {
-  if (options.plain()) {
-    const auto yes_graphs = filter_yes_graphs(graphs, lcp.k());
-    const auto frames = enumerate_frames(yes_graphs, options.enums);
-    return build_sharded(
-        frames.size(), options,
-        maybe_frame_costs(lcp, yes_graphs, frames, options),
-        [&](std::size_t i, NbhdGraph& shard) {
-          shard.absorb_frame(
-              lcp.decoder(),
-              frame_labelings(lcp, yes_graphs, frames[i], options.enums),
-              lcp.k());
-        });
-  }
-  ResumableBuildResult res = build_exhaustive_resumable(lcp, graphs, options);
-  if (!res.complete) {
-    throw_incomplete("build_exhaustive", res);
-  }
-  return std::move(res.nbhd);
+  return take_complete("build_exhaustive",
+                       build_exhaustive_resumable(lcp, graphs, options));
 }
 
 ResumableBuildResult build_exhaustive_resumable(
@@ -425,59 +371,36 @@ ResumableBuildResult build_exhaustive_resumable(
     const ParallelEnumOptions& options) {
   const auto yes_graphs = filter_yes_graphs(graphs, lcp.k());
   const auto frames = enumerate_frames(yes_graphs, options.enums);
-  return run_resumable(
-      lcp, frames, maybe_frame_costs(lcp, yes_graphs, frames, options),
-      options, "exhaustive",
-      [&](const EnumFrame& frame, NbhdGraph& shard, BudgetTracker& tracker) {
-        const FrameLabelings labelings =
-            frame_labelings(lcp, yes_graphs, frame, options.enums);
-        const std::uint64_t seen = shard.absorb_frame(
-            lcp.decoder(), labelings, lcp.k(), [&](std::uint64_t absorbed) {
-              // Sampled mid-frame poll so hard stops land inside huge
-              // labeling products, not only between frames.
-              return (absorbed & 2047u) != 0 || !tracker.should_stop() ||
-                     !is_hard_stop(tracker.token().reason());
-            });
-        tracker.add_instances(seen);
-        return seen == labelings.num_labelings;
-      });
+  Sweep sweep;
+  sweep.kind = "exhaustive";
+  sweep.num_items = frames.size();
+  sweep.costs = [&] { return frame_costs(lcp, yes_graphs, frames); };
+  sweep.manifest = [&] {
+    return frame_manifest(lcp, frames, options.enums, sweep.kind);
+  };
+  sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker& tracker) {
+    const FrameLabelings labelings =
+        frame_labelings(lcp, yes_graphs, frames[i], options.enums);
+    const std::uint64_t seen = shard.absorb_frame(
+        lcp.decoder(), labelings, lcp.k(), [&](std::uint64_t) {
+          return !tracker.should_stop() ||
+                 !is_hard_stop(tracker.token().reason());
+        });
+    tracker.add_instances(seen);
+    return seen == labelings.num_labelings;
+  };
+  return run_resumable(sweep, options);
 }
 
 NbhdGraph build_proved(const Lcp& lcp, const std::vector<Graph>& graphs,
                        const EnumOptions& options) {
-  trace::Span span("nbhd.build");
-  span.note("threads", std::uint64_t{1});
-  NbhdGraph nbhd;
-  const auto yes_graphs = filter_yes_graphs(graphs, lcp.k());
-  for_each_proved_instance(lcp, yes_graphs, options, [&](const Instance& inst) {
-    nbhd.absorb(lcp.decoder(), inst, lcp.k());
-    return true;
-  });
-  finish_build(nbhd, span);
-  return nbhd;
+  return build_proved(lcp, graphs, one_thread(options));
 }
 
 NbhdGraph build_proved(const Lcp& lcp, const std::vector<Graph>& graphs,
                        const ParallelEnumOptions& options) {
-  if (options.plain()) {
-    const auto yes_graphs = filter_yes_graphs(graphs, lcp.k());
-    const auto frames = enumerate_frames(yes_graphs, options.enums);
-    // Proved builds do one prove() per frame -- near-uniform work, so no
-    // cost model: the planner falls back to evenly-sized chunks.
-    return build_sharded(
-        frames.size(), options, /*costs=*/{},
-        [&](std::size_t i, NbhdGraph& shard) {
-          const auto inst = proved_instance_in_frame(lcp, yes_graphs, frames[i]);
-          if (inst.has_value()) {
-            shard.absorb(lcp.decoder(), *inst, lcp.k());
-          }
-        });
-  }
-  ResumableBuildResult res = build_proved_resumable(lcp, graphs, options);
-  if (!res.complete) {
-    throw_incomplete("build_proved", res);
-  }
-  return std::move(res.nbhd);
+  return take_complete("build_proved",
+                       build_proved_resumable(lcp, graphs, options));
 }
 
 ResumableBuildResult build_proved_resumable(const Lcp& lcp,
@@ -485,41 +408,45 @@ ResumableBuildResult build_proved_resumable(const Lcp& lcp,
                                             const ParallelEnumOptions& options) {
   const auto yes_graphs = filter_yes_graphs(graphs, lcp.k());
   const auto frames = enumerate_frames(yes_graphs, options.enums);
-  return run_resumable(
-      lcp, frames, /*costs=*/{}, options, "proved",
-      [&](const EnumFrame& frame, NbhdGraph& shard, BudgetTracker& tracker) {
-        const auto inst = proved_instance_in_frame(lcp, yes_graphs, frame);
-        if (inst.has_value()) {
-          shard.absorb(lcp.decoder(), *inst, lcp.k());
-          tracker.add_instances(1);
-        }
-        return true;
-      });
+  // Proved builds do one prove() per frame -- near-uniform work, so no
+  // cost model: the plans cut evenly-sized chunks.
+  Sweep sweep;
+  sweep.kind = "proved";
+  sweep.num_items = frames.size();
+  sweep.manifest = [&] {
+    return frame_manifest(lcp, frames, options.enums, sweep.kind);
+  };
+  sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker& tracker) {
+    const auto inst = proved_instance_in_frame(lcp, yes_graphs, frames[i]);
+    if (inst.has_value()) {
+      shard.absorb(lcp.decoder(), *inst, lcp.k());
+      tracker.add_instances(1);
+    }
+    return true;
+  };
+  return run_resumable(sweep, options);
 }
 
 NbhdGraph build_from_instances(const Decoder& decoder,
                                const std::vector<Instance>& instances, int k) {
-  trace::Span span("nbhd.build");
-  span.note("threads", std::uint64_t{1});
-  NbhdGraph nbhd;
-  for (const Instance& inst : instances) {
-    nbhd.absorb(decoder, inst, k);
-  }
-  finish_build(nbhd, span);
-  return nbhd;
+  return build_from_instances(decoder, instances, k, one_thread({}));
 }
 
 NbhdGraph build_from_instances(const Decoder& decoder,
                                const std::vector<Instance>& instances, int k,
                                const ParallelEnumOptions& options) {
-  SHLCP_CHECK_MSG(options.plain(),
+  SHLCP_CHECK_MSG(!interruptible(options),
                   "build_from_instances does not support budgets, "
                   "cancellation, or checkpointing; use the frame-based "
                   "*_resumable builders for interruptible sweeps");
-  return build_sharded(instances.size(), options, /*costs=*/{},
-                       [&](std::size_t i, NbhdGraph& shard) {
-                         shard.absorb(decoder, instances[i], k);
-                       });
+  Sweep sweep;
+  sweep.kind = "instances";
+  sweep.num_items = instances.size();
+  sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker&) {
+    shard.absorb(decoder, instances[i], k);
+    return true;
+  };
+  return take_complete("build_from_instances", run_resumable(sweep, options));
 }
 
 }  // namespace shlcp

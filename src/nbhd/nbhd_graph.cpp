@@ -238,7 +238,7 @@ std::uint64_t NbhdGraph::absorb_frame(
           a, b, Provenance{instance_index, swap ? e.v : e.u, swap ? e.u : e.v});
     }
     ++absorbed;
-    return !keep_going || keep_going(absorbed);
+    return (absorbed & 2047u) != 0 || !keep_going || keep_going(absorbed);
   });
   return absorbed;
 }

@@ -91,8 +91,10 @@ class NbhdGraph {
   /// so each node's view is extracted and judged once per ball labeling
   /// and later visits of that ball labeling reuse the verdict (see
   /// DESIGN.md §13). `keep_going(absorbed)`, when set, is asked after
-  /// each labeling; returning false stops the frame there. Returns the
-  /// number of labelings absorbed, frame.num_labelings iff not stopped.
+  /// every 2,048th labeling (a sampled poll, so a hard stop lands inside
+  /// a huge labeling product at the cost of one branch per labeling);
+  /// returning false stops the frame there. Returns the number of
+  /// labelings absorbed, frame.num_labelings iff not stopped.
   std::uint64_t absorb_frame(
       const Decoder& decoder, const FrameLabelings& frame, int k,
       const std::function<bool(std::uint64_t)>& keep_going = {});

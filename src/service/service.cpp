@@ -658,48 +658,39 @@ Json Service::op_build_nbhd(const Admitted& request) {
   }
   const std::vector<Graph> graphs = resolve_graphs(params.at("graphs"));
 
-  EnumOptions enums;  // sequential build: request-level parallelism only
-  enums.all_ports = member_bool(params, "all_ports", false);
-  enums.all_id_orders = member_bool(params, "all_id_orders", false);
-  enums.max_labelings_per_frame = static_cast<std::uint64_t>(
+  ParallelEnumOptions options;
+  options.num_threads = 1;  // request-level parallelism only
+  options.enums.all_ports = member_bool(params, "all_ports", false);
+  options.enums.all_id_orders = member_bool(params, "all_id_orders", false);
+  options.enums.max_labelings_per_frame = static_cast<std::uint64_t>(
       member_int(params, "max_labelings_per_frame", 2'000'000));
+  // Cancel-at-boundary deadline enforcement: build_nbhd is the one op long
+  // enough to expire mid-flight, so the sweep runs under a wall budget (0
+  // when the request has no deadline: unlimited) and stops at the next
+  // frame boundary once it passes. An expired build is refused -- a
+  // truncated V(D, n) is never answered or cached (a completed build is
+  // the same graph whatever its budget, so cacheability is unaffected).
+  options.budget.wall_ms = remaining_ms;
 
   const std::string build = member_string(params, "build", "proved");
   if (build != "exhaustive" && build != "proved") {
     throw_params("build_nbhd: 'build' must be \"exhaustive\" or \"proved\"");
   }
-  NbhdGraph nbhd;
-  if (remaining_ms == 0) {
-    nbhd = build == "exhaustive" ? build_exhaustive(lcp, graphs, enums)
-                                 : build_proved(lcp, graphs, enums);
-  } else {
-    // Cancel-at-boundary deadline enforcement: build_nbhd is the one op
-    // long enough to expire mid-flight, so run the sweep under a wall
-    // budget and stop at the next frame boundary once the deadline
-    // passes. An expired build is refused -- a truncated V(D, n) is
-    // never answered or cached (the completed resumable result is
-    // bit-identical to the plain build, so cacheability is unaffected).
-    ParallelEnumOptions options;
-    options.enums = enums;
-    options.num_threads = 1;
-    options.budget.wall_ms = remaining_ms;
-    ResumableBuildResult res =
-        build == "exhaustive"
-            ? build_exhaustive_resumable(lcp, graphs, options)
-            : build_proved_resumable(lcp, graphs, options);
-    if (!res.complete) {
-      deadline_cancel_counter().inc();
-      throw ServiceError{
-          kErrDeadline,
-          format("build_nbhd expired its %llu ms deadline budget after "
-                 "%llu of %llu frames",
-                 static_cast<unsigned long long>(remaining_ms),
-                 static_cast<unsigned long long>(res.frames_done),
-                 static_cast<unsigned long long>(res.num_frames)),
-          ""};
-    }
-    nbhd = std::move(res.nbhd);
+  const ResumableBuildResult res =
+      build == "exhaustive" ? build_exhaustive_resumable(lcp, graphs, options)
+                            : build_proved_resumable(lcp, graphs, options);
+  if (!res.complete) {
+    deadline_cancel_counter().inc();
+    throw ServiceError{
+        kErrDeadline,
+        format("build_nbhd expired its %llu ms deadline budget after "
+               "%llu of %llu frames",
+               static_cast<unsigned long long>(remaining_ms),
+               static_cast<unsigned long long>(res.frames_done),
+               static_cast<unsigned long long>(res.num_frames)),
+        ""};
   }
+  const NbhdGraph& nbhd = res.nbhd;
 
   Json result = Json::object();
   result["lcp"] = lcp.name();

@@ -23,16 +23,6 @@ int resolve_num_threads(int requested) {
   return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
-ChunkPlan uniform_plan(std::size_t n, std::size_t chunk) {
-  SHLCP_CHECK_MSG(chunk >= 1, "chunk size must be >= 1");
-  ChunkPlan plan;
-  plan.ranges.reserve((n + chunk - 1) / chunk);
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    plan.ranges.emplace_back(begin, std::min(n, begin + chunk));
-  }
-  return plan;
-}
-
 ChunkPlan adaptive_plan(const std::vector<std::uint64_t>& costs, int threads,
                         std::size_t ranges_per_thread) {
   SHLCP_CHECK_MSG(threads >= 1, "adaptive_plan needs at least one thread");
@@ -184,7 +174,7 @@ void WorkerPool::run_chunks(std::size_t self) {
   // (body_, plan_, ...) is stable for the whole claim loop: the caller
   // does not reset it until active_claimers_ drops to zero.
   for (;;) {
-    if (stop_claims_.load(std::memory_order_relaxed) ||
+    if (stop_claims_.load(std::memory_order_acquire) ||
         (job_cancel_ != nullptr && job_cancel_->stop_requested())) {
       break;
     }
@@ -228,33 +218,43 @@ void WorkerPool::run_chunks(std::size_t self) {
   }
 }
 
-ParallelRunResult WorkerPool::run_job(const ChunkPlan& plan,
-                                      const CancellableChunkBody& body,
-                                      const ParallelRunControl& ctrl) {
+ParallelRunResult WorkerPool::run_plan(const ChunkPlan& plan,
+                                       const ChunkBody& body,
+                                       const ParallelRunControl& ctrl) {
   ParallelRunResult result;
   result.num_chunks = plan.num_chunks();
   if (plan.num_chunks() == 0) {
     return result;
   }
+  // Plans must be contiguous and ascending from 0 (the deterministic
+  // merge contract); catch malformed hand-built plans early.
+  SHLCP_CHECK_MSG(plan.ranges.front().first == 0,
+                  "ChunkPlan must start at item 0");
+  for (std::size_t i = 0; i < plan.ranges.size(); ++i) {
+    SHLCP_CHECK_MSG(plan.ranges[i].first < plan.ranges[i].second,
+                    "ChunkPlan ranges must be non-empty");
+    if (i > 0) {
+      SHLCP_CHECK_MSG(plan.ranges[i].first == plan.ranges[i - 1].second,
+                      "ChunkPlan ranges must be contiguous");
+    }
+  }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    SHLCP_CHECK_MSG(body_ == nullptr,
-                    "parallel_for_chunks is not reentrant");
+    SHLCP_CHECK_MSG(body_ == nullptr, "WorkerPool::run_plan is not reentrant");
     body_ = &body;
     plan_ = &plan;
     job_cancel_ = ctrl.cancel;
     num_chunks_ = plan.num_chunks();
     claims_.store(0, std::memory_order_relaxed);
     steals_.store(0, std::memory_order_relaxed);
-    stop_claims_.store(false, std::memory_order_relaxed);
     chunk_done_.assign(num_chunks_, 0);
     error_ = nullptr;
     error_chunk_ = 0;
     error_bound_.store(kNoChunk, std::memory_order_relaxed);
     // Seed the deques: contiguous, evenly-counted shares of the plan.
-    // The plan's ranges are already cost-balanced (adaptive) or uniform,
-    // so an even count split is an even work split to first order; the
-    // steal path corrects the rest at run time.
+    // The plan's ranges are already cost-balanced, so an even count split
+    // is an even work split to first order; the steal path corrects the
+    // rest at run time.
     const std::size_t nq = queues_.size();
     for (std::size_t i = 0; i < nq; ++i) {
       Deque& q = *queues_[i];
@@ -262,6 +262,12 @@ ParallelRunResult WorkerPool::run_job(const ChunkPlan& plan,
       q.head = num_chunks_ * i / nq;
       q.tail = num_chunks_ * (i + 1) / nq;
     }
+    // Open the latch last. A worker that woke late for an earlier job may
+    // already sit in run_chunks outside mu_: until this store it claims
+    // nothing (an earlier stopped job's deques may still hold stale
+    // indices), and its acquire load of the cleared latch makes the job
+    // state above visible before its first claim.
+    stop_claims_.store(false, std::memory_order_release);
     ++generation_;
     ++active_claimers_;  // the caller claims too
   }
@@ -353,50 +359,6 @@ ParallelRunResult WorkerPool::run_job(const ChunkPlan& plan,
     std::rethrow_exception(error);
   }
   return result;
-}
-
-void WorkerPool::parallel_for_chunks(std::size_t n, std::size_t chunk,
-                                     const ChunkBody& body) {
-  const ChunkPlan plan = uniform_plan(n, chunk);
-  const CancellableChunkBody wrapped =
-      [&body](std::size_t c, std::size_t begin, std::size_t end) {
-        body(c, begin, end);
-        return true;
-      };
-  run_job(plan, wrapped, ParallelRunControl{});
-}
-
-ParallelRunResult WorkerPool::run_cancellable(std::size_t n, std::size_t chunk,
-                                              const CancellableChunkBody& body,
-                                              const ParallelRunControl& ctrl) {
-  const ChunkPlan plan = uniform_plan(n, chunk);
-  return run_job(plan, body, ctrl);
-}
-
-ParallelRunResult WorkerPool::run_plan(const ChunkPlan& plan,
-                                       const CancellableChunkBody& body,
-                                       const ParallelRunControl& ctrl) {
-  if (!plan.ranges.empty()) {
-    // Plans must be contiguous and ascending from 0 (the deterministic
-    // merge contract); catch malformed hand-built plans early.
-    SHLCP_CHECK_MSG(plan.ranges.front().first == 0,
-                    "ChunkPlan must start at item 0");
-    for (std::size_t i = 0; i < plan.ranges.size(); ++i) {
-      SHLCP_CHECK_MSG(plan.ranges[i].first < plan.ranges[i].second,
-                      "ChunkPlan ranges must be non-empty");
-      if (i > 0) {
-        SHLCP_CHECK_MSG(plan.ranges[i].first == plan.ranges[i - 1].second,
-                        "ChunkPlan ranges must be contiguous");
-      }
-    }
-  }
-  return run_job(plan, body, ctrl);
-}
-
-void parallel_for_chunks(int num_threads, std::size_t n, std::size_t chunk,
-                         const ChunkBody& body) {
-  WorkerPool pool(resolve_num_threads(num_threads));
-  pool.parallel_for_chunks(n, chunk, body);
 }
 
 }  // namespace shlcp

@@ -5,11 +5,10 @@
 // item range [0, n). Work distribution is two-layered:
 //
 //  * A deterministic *chunk plan* splits the range into contiguous,
-//    ascending [begin, end) ranges. uniform_plan cuts fixed-size chunks;
-//    adaptive_plan cuts by per-item cost estimates, so cheap items batch
-//    into coarse chunks and expensive items split finer (the dense/sparse
-//    decomposition of the frame space). The plan depends only on its
-//    inputs, never on timing.
+//    ascending [begin, end) ranges. adaptive_plan cuts by per-item cost
+//    estimates, so cheap items batch into coarse chunks and expensive
+//    items split finer (the dense/sparse decomposition of the frame
+//    space). The plan depends only on its inputs, never on timing.
 //  * A work-stealing scheduler executes the plan: each pool thread owns a
 //    deque of plan indices (the plan is pre-partitioned contiguously
 //    across threads), pops from its own front, and when empty steals the
@@ -29,10 +28,10 @@
 // so the rethrown exception is exactly the one a sequential run of the
 // same plan would have surfaced, regardless of steal timing.
 //
-// Cancellation: run_cancellable / run_plan take a CancelToken plus an
-// optional stall watchdog. Workers stop claiming new chunks once the
-// token trips; chunk bodies additionally poll the token at their own safe
-// points and may abort mid-chunk (returning false). The run then reports
+// Cancellation: run_plan takes a CancelToken plus an optional stall
+// watchdog. Workers stop claiming new chunks once the token trips; chunk
+// bodies additionally poll the token at their own safe points and may
+// abort mid-chunk (returning false). The run then reports
 // the *completed chunk prefix* -- the largest p such that chunks [0, p)
 // all ran to completion -- which is what lets a budgeted V(D, n) build
 // keep a deterministic, resumable amount of work (nbhd/aviews.h). Chunks
@@ -78,11 +77,6 @@ struct ChunkPlan {
   }
 };
 
-/// Fixed-size chunks of `chunk` items (the last may be short): the
-/// legacy frame-partitioned layout, kept for callers that pin a chunk
-/// size (and as the degenerate plan when no costs are known).
-ChunkPlan uniform_plan(std::size_t n, std::size_t chunk);
-
 /// Cost-adaptive chunks: greedily cuts [0, costs.size()) so every chunk
 /// carries roughly total_cost / (threads * ranges_per_thread) worth of
 /// work. Runs of cheap items batch into one coarse chunk; an expensive
@@ -94,20 +88,15 @@ ChunkPlan adaptive_plan(const std::vector<std::uint64_t>& costs, int threads,
                         std::size_t ranges_per_thread = 8);
 
 /// Body run once per chunk: `chunk_index` is dense and in item order
-/// (chunk c covers the plan's ranges[c]).
-using ChunkBody =
-    std::function<void(std::size_t chunk_index, std::size_t begin,
-                       std::size_t end)>;
-
-/// Cooperative chunk body: returns true when the chunk ran to
-/// completion, false when it aborted early (budget trip observed at a
+/// (chunk c covers the plan's ranges[c]). Returns true when the chunk ran
+/// to completion, false when it aborted early (budget trip observed at a
 /// safe point). An aborted chunk's side effects must be discardable by
 /// the caller -- it is excluded from the completed prefix.
-using CancellableChunkBody =
+using ChunkBody =
     std::function<bool(std::size_t chunk_index, std::size_t begin,
                        std::size_t end)>;
 
-/// Cancellation plumbing for one run_cancellable / run_plan call.
+/// Cancellation plumbing for one run_plan call.
 struct ParallelRunControl {
   /// Stop flag polled before every chunk claim; chunk bodies should poll
   /// it too. May be null (no external cancellation).
@@ -157,30 +146,16 @@ class WorkerPool {
     return static_cast<int>(threads_.size()) + 1;
   }
 
-  /// Splits [0, n) into ceil(n / chunk) contiguous chunks of size `chunk`
-  /// (the last may be short) and runs `body` once per chunk, distributing
-  /// chunks across the pool with work stealing. Blocks until every chunk
-  /// is done. If bodies throw, queued chunks above the lowest failing
-  /// index are cancelled and its exception is rethrown (see the
-  /// error-handling contract above).
-  /// Not reentrant: must not be called from inside a chunk body.
-  void parallel_for_chunks(std::size_t n, std::size_t chunk,
-                           const ChunkBody& body);
-
-  /// Cancellable variant over fixed-size chunks: stops claiming chunks
-  /// when ctrl.cancel trips (or a body throws), and reports the completed
-  /// chunk prefix instead of requiring full completion. Exceptions still
-  /// rethrow the lowest-indexed one after the run winds down.
-  ParallelRunResult run_cancellable(std::size_t n, std::size_t chunk,
-                                    const CancellableChunkBody& body,
-                                    const ParallelRunControl& ctrl);
-
-  /// The general form: executes an explicit (possibly cost-adaptive)
-  /// chunk plan with the work-stealing scheduler. `plan` must outlive the
-  /// call. Same cancellation, prefix, and error semantics as
-  /// run_cancellable.
+  /// Runs `body` once per chunk of `plan`, distributing chunks across
+  /// the pool with work stealing, and blocks until the run winds down.
+  /// Stops claiming chunks when ctrl.cancel trips or a body throws, and
+  /// reports the completed chunk prefix. If bodies throw, queued chunks
+  /// above the lowest failing index are cancelled and its exception is
+  /// rethrown (see the error-handling contract above). `plan` must
+  /// outlive the call. Not reentrant: must not be called from inside a
+  /// chunk body.
   ParallelRunResult run_plan(const ChunkPlan& plan,
-                             const CancellableChunkBody& body,
+                             const ChunkBody& body,
                              const ParallelRunControl& ctrl);
 
   /// Progress heartbeat for the stall watchdog: long-running chunk
@@ -206,9 +181,6 @@ class WorkerPool {
   void worker_loop(std::size_t self);
   void run_chunks(std::size_t self);
   std::size_t claim_chunk(std::size_t self);
-  ParallelRunResult run_job(const ChunkPlan& plan,
-                            const CancellableChunkBody& body,
-                            const ParallelRunControl& ctrl);
 
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<Deque>> queues_;  // one per pool thread
@@ -219,14 +191,17 @@ class WorkerPool {
   bool shutdown_ = false;
   std::uint64_t generation_ = 0;
 
-  // Current job; written under mu_ before the generation bump, read by
-  // workers only after observing the bump under mu_ (or claim-guarded by
-  // active_claimers_, which the caller waits on before resetting).
-  const CancellableChunkBody* body_ = nullptr;
+  // Current job; written under mu_ and published by the release store
+  // that clears stop_claims_, read by claimers only after an acquire load
+  // sees the latch clear (the caller waits on active_claimers_ before
+  // resetting it).
+  const ChunkBody* body_ = nullptr;
   const ChunkPlan* plan_ = nullptr;
   CancelToken* job_cancel_ = nullptr;  // may be null
   std::size_t num_chunks_ = 0;
-  std::atomic<bool> stop_claims_{true};  // cancellation / teardown latch
+  // Cancellation / teardown latch. Cleared last in a job's setup, after
+  // the deques are seeded, so a claimer that sees it clear sees the job.
+  std::atomic<bool> stop_claims_{true};
   // Lowest chunk index that has thrown this job (kNoChunk = none).
   // Claimed chunks at or above it are skipped, chunks below it still
   // run, so the surfaced exception is deterministically the one a
@@ -240,10 +215,5 @@ class WorkerPool {
   std::size_t error_chunk_ = 0;      // guarded by mu_
   std::exception_ptr error_;         // guarded by mu_
 };
-
-/// One-shot convenience: builds a pool of resolve_num_threads(num_threads)
-/// workers for a single parallel_for_chunks call.
-void parallel_for_chunks(int num_threads, std::size_t n, std::size_t chunk,
-                         const ChunkBody& body);
 
 }  // namespace shlcp

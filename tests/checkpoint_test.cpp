@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "certify/degree_one.h"
@@ -222,14 +223,23 @@ TEST(CheckpointTest, InterruptedThenResumedIsBitIdentical) {
   for (const ResumeCase& c : cases) {
     const NbhdGraph seq = build_exhaustive(c.lcp, c.graphs, c.enums);
     ASSERT_GT(seq.num_views(), 0) << c.name;
-    for (const int threads : {1, 2, 4}) {
+    // The finest sharding the merge can see: one shard per frame.
+    expect_identical(seq, per_frame_shards(c.lcp, c.graphs, c.enums));
+    // Each segment re-cuts its own cost-adaptive plan, so a resumed run
+    // may cut different chunks than the interrupted one. A cadence of 3
+    // against a budget of 3 frames also puts the kill and the checkpoint
+    // on the same frame.
+    for (const auto& [threads, every] :
+         {std::pair{1, 2}, std::pair{2, 2}, std::pair{4, 2}, std::pair{1, 3},
+          std::pair{2, 3}}) {
+      SCOPED_TRACE(format("%s, %d threads, every %d frames", c.name, threads,
+                          every));
       ParallelEnumOptions options;
       options.enums = c.enums;
       options.num_threads = threads;
-      options.frames_per_chunk = 1;  // maximal sharding stresses the merge
-      options.checkpoint.directory =
-          fresh_ckpt_dir(format("resume_%s_t%d", c.name, threads));
-      options.checkpoint.every_frames = 2;
+      options.checkpoint.directory = fresh_ckpt_dir(
+          format("resume_%s_t%d_e%d", c.name, threads, every));
+      options.checkpoint.every_frames = static_cast<std::uint64_t>(every);
       options.budget.max_frames = 3;  // the "kill": a few frames per run
 
       ResumableBuildResult res;
@@ -284,7 +294,6 @@ TEST(CheckpointTest, ProvedBuilderResumesBitIdentically) {
   ParallelEnumOptions options;
   options.enums = enums;
   options.num_threads = 2;
-  options.frames_per_chunk = 1;
   options.checkpoint.directory = fresh_ckpt_dir("resume_proved");
   options.checkpoint.every_frames = 2;
   options.budget.max_frames = 2;
@@ -298,44 +307,6 @@ TEST(CheckpointTest, ProvedBuilderResumesBitIdentically) {
   expect_identical(seq, res.nbhd);
 }
 
-TEST(CheckpointTest, AdaptiveChunkingResumesBitIdentically) {
-  // Same kill-and-resume drill, but under the default cost-adaptive chunk
-  // plan (frames_per_chunk = 0): segment boundaries fall on checkpoint
-  // cadence rather than whole-chunk multiples, and each segment re-cuts
-  // its own plan from the sliced frame costs. The resumed result must
-  // still be bit-identical to the uninterrupted sequential build.
-  const DegreeOneLcp lcp;
-  std::vector<Graph> graphs;
-  for (const Graph& g : connected_bipartite(4)) {
-    if (g.min_degree() == 1) {
-      graphs.push_back(g);
-    }
-  }
-  EnumOptions enums;
-  enums.all_ports = true;
-  const NbhdGraph seq = build_exhaustive(lcp, graphs, enums);
-  ASSERT_GT(seq.num_views(), 0);
-  for (const int threads : {1, 2}) {
-    ParallelEnumOptions options;
-    options.enums = enums;
-    options.num_threads = threads;
-    ASSERT_EQ(options.frames_per_chunk, 0) << "adaptive must be the default";
-    options.checkpoint.directory =
-        fresh_ckpt_dir(format("resume_adaptive_t%d", threads));
-    options.checkpoint.every_frames = 3;
-    options.budget.max_frames = 3;
-    ResumableBuildResult res;
-    int runs = 0;
-    do {
-      res = build_exhaustive_resumable(lcp, graphs, options);
-      ASSERT_LT(++runs, 100) << "resume loop did not converge";
-    } while (!res.complete);
-    EXPECT_GT(runs, 1) << "the budget was supposed to interrupt the build";
-    EXPECT_GT(res.resumed_frames, 0u) << "t" << threads;
-    expect_identical(seq, res.nbhd);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // No silent truncation.
 
@@ -344,7 +315,6 @@ TEST(CheckpointTest, PlainBuilderFailsLoudlyOnBudgetTrip) {
   const auto graphs = connected_bipartite(3);
   ParallelEnumOptions options;
   options.enums.all_id_orders = true;
-  options.frames_per_chunk = 1;
   options.budget.max_frames = 1;
   try {
     build_exhaustive(lcp, graphs, options);
@@ -364,7 +334,6 @@ TEST(CheckpointTest, ExternalCancelStopsTheBuild) {
   token.request_stop(StopReason::kCancelRequested);
   ParallelEnumOptions options;
   options.enums.all_id_orders = true;
-  options.frames_per_chunk = 1;
   options.cancel = &token;
   const ResumableBuildResult res =
       build_exhaustive_resumable(lcp, graphs, options);
@@ -391,7 +360,6 @@ ParallelEnumOptions seed_partial_checkpoint(const Lcp& lcp,
                                             const std::string& dir) {
   ParallelEnumOptions options;
   options.enums.all_id_orders = true;
-  options.frames_per_chunk = 1;
   options.checkpoint.directory = dir;
   options.checkpoint.every_frames = 2;
   options.budget.max_frames = 3;

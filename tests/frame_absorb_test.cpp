@@ -6,8 +6,8 @@
 // the same instance stream one instance at a time (NbhdGraph::absorb, the
 // loop of build_from_instances): same views in the same order, same edges,
 // same provenance, same views_deduped -- for anonymous, port-sensitive and
-// id-reading decoders, every enumeration mode, 1 and 2 threads, adaptive
-// and single-frame chunks, and a resumable build stopped mid-frame.
+// id-reading decoders, every enumeration mode, 1 and 2 threads, one shard
+// per frame folded with merge, and a resumable build stopped mid-frame.
 
 #include <gtest/gtest.h>
 
@@ -84,15 +84,15 @@ NbhdGraph expect_frames_match_instances(const Lcp& lcp,
     EXPECT_LE(seq.stats().view_extractions, ref.stats().view_extractions);
   }
   for (const int threads : {1, 2}) {
-    for (const int frames_per_chunk : {0, 1}) {
-      SCOPED_TRACE(format("%d threads, frames_per_chunk %d", threads,
-                          frames_per_chunk));
-      ParallelEnumOptions options;
-      options.enums = enums;
-      options.num_threads = threads;
-      options.frames_per_chunk = frames_per_chunk;
-      expect_identical(ref, build_exhaustive(lcp, graphs, options));
-    }
+    SCOPED_TRACE(format("%d threads", threads));
+    ParallelEnumOptions options;
+    options.enums = enums;
+    options.num_threads = threads;
+    expect_identical(ref, build_exhaustive(lcp, graphs, options));
+  }
+  {
+    SCOPED_TRACE("one shard per frame");
+    expect_identical(ref, per_frame_shards(lcp, graphs, enums));
   }
   return ref;
 }
@@ -190,8 +190,9 @@ TEST(FrameAbsorbTest, SweepFamilyExtractsOncePerBallLabeling) {
 TEST(FrameAbsorbTest, ResumeAfterADeadlineMidFrameMatches) {
   // Even-cycle frames hold 65,536 labelings each and the build polls for
   // a hard stop every 2,048, so a short deadline lands inside a frame.
-  // The aborted frame is discarded with its chunk and redone on resume.
-  // The three frames form one checkpoint segment, so the deadline cannot
+  // The aborted frame is discarded with its chunk and redone on resume;
+  // the adaptive plan gives each of these dense frames a chunk of its
+  // own. The three frames form one checkpoint segment, so the deadline cannot
   // land in a checkpoint write between frames instead. The uninterrupted
   // build is the reference here;
   // EvenCycleMatchesPerInstance shows it equal to the per-instance stream.
@@ -207,7 +208,6 @@ TEST(FrameAbsorbTest, ResumeAfterADeadlineMidFrameMatches) {
           .string();
   ParallelEnumOptions options;
   options.num_threads = 1;
-  options.frames_per_chunk = 1;
   options.checkpoint.directory = dir;
   bool mid_frame = false;
   std::string attempts;

@@ -236,13 +236,15 @@ TEST(EnumerateTest, AllDimensionsMultiply) {
 TEST(EnumerateTest, ProvedStreamSkipsDeclined) {
   const RevealingLcp lcp(2);
   EnumOptions options;
+  const std::vector<Graph> graphs{make_path(3), make_cycle(4)};
   int count = 0;
-  for_each_proved_instance(lcp, {make_path(3), make_cycle(4)}, options,
-                           [&](const Instance& inst) {
-                             EXPECT_TRUE(lcp.decoder().accepts_all(inst));
-                             ++count;
-                             return true;
-                           });
+  for (const EnumFrame& frame : enumerate_frames(graphs, options)) {
+    const auto inst = proved_instance_in_frame(lcp, graphs, frame);
+    if (inst.has_value()) {
+      EXPECT_TRUE(lcp.decoder().accepts_all(*inst));
+      ++count;
+    }
+  }
   EXPECT_EQ(count, 2);
 }
 

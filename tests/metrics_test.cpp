@@ -70,12 +70,15 @@ TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
 TEST(CounterTest, ConcurrentAddsAreLossless) {
   metrics::Counter c;
   constexpr std::size_t kItems = 64 * 1024;
-  parallel_for_chunks(4, kItems, 256,
-                      [&](std::size_t, std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          c.inc();
-                        }
-                      });
+  WorkerPool pool(4);
+  pool.run_plan(adaptive_plan(std::vector<std::uint64_t>(kItems, 1), 4),
+                [&](std::size_t, std::size_t begin, std::size_t end) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    c.inc();
+                  }
+                  return true;
+                },
+                ParallelRunControl{});
   EXPECT_EQ(c.value(), kItems);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
@@ -227,7 +230,6 @@ TEST(CounterParityTest, SequentialAndParallelBuildsPublishSameCounters) {
 
   ParallelEnumOptions par_options;
   par_options.num_threads = 4;
-  par_options.frames_per_chunk = 2;
   metrics::reset_values();
   const auto par_nbhd = build_exhaustive(lcp, graphs, par_options);
   const auto par = parity_counters();

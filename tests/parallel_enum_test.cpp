@@ -26,6 +26,7 @@
 #include "nbhd/aviews.h"
 #include "nbhd_test_util.h"
 #include "nbhd/witness.h"
+#include "util/format.h"
 #include "util/parallel.h"
 
 namespace shlcp {
@@ -34,17 +35,36 @@ namespace {
 // ---------------------------------------------------------------------------
 // Worker pool.
 
+/// One chunk per item: chunk c covers item c.
+ChunkPlan single_item_plan(std::size_t n) {
+  ChunkPlan plan;
+  for (std::size_t i = 0; i < n; ++i) {
+    plan.ranges.emplace_back(i, i + 1);
+  }
+  return plan;
+}
+
+/// `n` unit-cost items, cut the way the build engine cuts a sweep with no
+/// cost model.
+ChunkPlan unit_cost_plan(std::size_t n, int threads) {
+  return adaptive_plan(std::vector<std::uint64_t>(n, 1), threads);
+}
+
 TEST(WorkerPoolTest, CoversEveryItemExactlyOnce) {
   for (const int threads : {1, 2, 4}) {
     WorkerPool pool(threads);
     const std::size_t n = 103;
     std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for_chunks(n, 7, [&](std::size_t, std::size_t b,
-                                       std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        hits[i].fetch_add(1);
-      }
-    });
+    const ParallelRunResult res = pool.run_plan(
+        unit_cost_plan(n, threads),
+        [&](std::size_t, std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) {
+            hits[i].fetch_add(1);
+          }
+          return true;
+        },
+        ParallelRunControl{});
+    EXPECT_FALSE(res.stopped());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "item " << i << ", " << threads
                                    << " threads";
@@ -52,28 +72,18 @@ TEST(WorkerPoolTest, CoversEveryItemExactlyOnce) {
   }
 }
 
-TEST(WorkerPoolTest, ChunkIndicesAreDenseAndAligned) {
-  WorkerPool pool(4);
-  std::mutex mu;
-  std::set<std::size_t> seen;
-  pool.parallel_for_chunks(10, 4, [&](std::size_t ci, std::size_t b,
-                                      std::size_t e) {
-    EXPECT_EQ(b, ci * 4);
-    EXPECT_EQ(e, std::min<std::size_t>(10, b + 4));
-    std::lock_guard<std::mutex> lk(mu);
-    seen.insert(ci);
-  });
-  EXPECT_EQ(seen, (std::set<std::size_t>{0, 1, 2}));
-}
-
 TEST(WorkerPoolTest, ReusableAcrossJobs) {
   WorkerPool pool(3);
+  const ChunkPlan plan = unit_cost_plan(20, 3);
   for (int round = 0; round < 5; ++round) {
     std::atomic<int> sum{0};
-    pool.parallel_for_chunks(20, 3, [&](std::size_t, std::size_t b,
-                                        std::size_t e) {
-      sum.fetch_add(static_cast<int>(e - b));
-    });
+    pool.run_plan(
+        plan,
+        [&](std::size_t, std::size_t b, std::size_t e) {
+          sum.fetch_add(static_cast<int>(e - b));
+          return true;
+        },
+        ParallelRunControl{});
     EXPECT_EQ(sum.load(), 20);
   }
 }
@@ -81,12 +91,15 @@ TEST(WorkerPoolTest, ReusableAcrossJobs) {
 TEST(WorkerPoolTest, RethrowsLowestChunkError) {
   WorkerPool pool(4);
   try {
-    pool.parallel_for_chunks(40, 2, [&](std::size_t ci, std::size_t,
-                                        std::size_t) {
-      if (ci == 7 || ci == 3 || ci == 12) {
-        throw std::runtime_error("chunk " + std::to_string(ci));
-      }
-    });
+    pool.run_plan(
+        single_item_plan(20),
+        [&](std::size_t ci, std::size_t, std::size_t) -> bool {
+          if (ci == 7 || ci == 3 || ci == 12) {
+            throw std::runtime_error("chunk " + std::to_string(ci));
+          }
+          return true;
+        },
+        ParallelRunControl{});
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "chunk 3");
@@ -100,13 +113,16 @@ TEST(WorkerPoolTest, FailFastCancelsQueuedChunks) {
   WorkerPool pool(1);
   std::vector<int> ran(10, 0);
   try {
-    pool.parallel_for_chunks(10, 1,
-                             [&](std::size_t ci, std::size_t, std::size_t) {
-                               ran[ci] = 1;
-                               if (ci == 2) {
-                                 throw std::runtime_error("boom");
-                               }
-                             });
+    pool.run_plan(
+        single_item_plan(10),
+        [&](std::size_t ci, std::size_t, std::size_t) -> bool {
+          ran[ci] = 1;
+          if (ci == 2) {
+            throw std::runtime_error("boom");
+          }
+          return true;
+        },
+        ParallelRunControl{});
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom");
@@ -119,9 +135,10 @@ TEST(WorkerPoolTest, CancellableCompletesWithoutStop) {
   CancelToken token;
   ParallelRunControl ctrl;
   ctrl.cancel = &token;
+  const ChunkPlan plan = unit_cost_plan(20, 2);
   std::atomic<int> sum{0};
-  const ParallelRunResult res = pool.run_cancellable(
-      20, 3,
+  const ParallelRunResult res = pool.run_plan(
+      plan,
       [&](std::size_t, std::size_t b, std::size_t e) {
         sum.fetch_add(static_cast<int>(e - b));
         return true;
@@ -129,7 +146,7 @@ TEST(WorkerPoolTest, CancellableCompletesWithoutStop) {
       ctrl);
   EXPECT_FALSE(res.stopped());
   EXPECT_EQ(res.completed_prefix_chunks, res.num_chunks);
-  EXPECT_EQ(res.num_chunks, 7u);
+  EXPECT_EQ(res.num_chunks, plan.num_chunks());
   EXPECT_EQ(sum.load(), 20);
   EXPECT_FALSE(token.stop_requested());
 }
@@ -140,8 +157,8 @@ TEST(WorkerPoolTest, CancellableReportsCompletedPrefix) {
     CancelToken token;
     ParallelRunControl ctrl;
     ctrl.cancel = &token;
-    const ParallelRunResult res = pool.run_cancellable(
-        40, 2,
+    const ParallelRunResult res = pool.run_plan(
+        single_item_plan(20),
         [&](std::size_t ci, std::size_t, std::size_t) {
           if (ci == 5) {
             token.request_stop(StopReason::kCancelRequested);
@@ -167,8 +184,8 @@ TEST(WorkerPoolTest, PreStoppedTokenRunsNothing) {
   token.request_stop(StopReason::kDeadline);
   ParallelRunControl ctrl;
   ctrl.cancel = &token;
-  const ParallelRunResult res = pool.run_cancellable(
-      10, 1,
+  const ParallelRunResult res = pool.run_plan(
+      single_item_plan(10),
       [&](std::size_t, std::size_t, std::size_t) {
         ADD_FAILURE() << "no chunk may start on a tripped token";
         return true;
@@ -184,8 +201,8 @@ TEST(WorkerPoolTest, WatchdogFlagsStalledRun) {
   ParallelRunControl ctrl;
   ctrl.cancel = &token;
   ctrl.stall_timeout_ms = 50;
-  const ParallelRunResult res = pool.run_cancellable(
-      4, 1,
+  const ParallelRunResult res = pool.run_plan(
+      single_item_plan(4),
       [&](std::size_t, std::size_t, std::size_t) {
         // A cooperative-but-stuck body: makes no progress, polls the
         // token. The watchdog must fail it fast with kStall.
@@ -206,8 +223,8 @@ TEST(WorkerPoolTest, HeartbeatPreventsFalseStall) {
   ParallelRunControl ctrl;
   ctrl.cancel = &token;
   ctrl.stall_timeout_ms = 60;
-  const ParallelRunResult res = pool.run_cancellable(
-      1, 1,
+  const ParallelRunResult res = pool.run_plan(
+      single_item_plan(1),
       [&](std::size_t, std::size_t, std::size_t) {
         // Legitimately slow chunk (~200ms > timeout) that heartbeats at
         // its safe points: must NOT be flagged as stalled.
@@ -222,28 +239,59 @@ TEST(WorkerPoolTest, HeartbeatPreventsFalseStall) {
   EXPECT_FALSE(token.stop_requested());
 }
 
-TEST(WorkerPoolTest, EmptyRangeIsANoop) {
+TEST(WorkerPoolTest, EmptyPlanIsANoop) {
   WorkerPool pool(2);
   int calls = 0;
-  pool.parallel_for_chunks(0, 4, [&](std::size_t, std::size_t, std::size_t) {
-    ++calls;
-  });
+  const ParallelRunResult res = pool.run_plan(
+      ChunkPlan{},
+      [&](std::size_t, std::size_t, std::size_t) {
+        ++calls;
+        return true;
+      },
+      ParallelRunControl{});
   EXPECT_EQ(calls, 0);
+  EXPECT_EQ(res.num_chunks, 0u);
+  EXPECT_FALSE(res.stopped());
+}
+
+TEST(WorkerPoolTest, StoppedJobsNeverLeakIntoTheNext) {
+  // Regression for a reuse race: a job stopped after its first chunk
+  // leaves stale indices in the deques, and a worker that wakes late for
+  // it sits in the claim loop outside the pool mutex. The next job must
+  // open the claim latch only after reseeding every deque, or that worker
+  // claims a stale index and some chunk of the next job runs twice (or
+  // never). Every other job here is stopped by its token in whichever
+  // chunk runs first; every unstopped job must run each chunk once.
+  WorkerPool pool(4);
+  const ChunkPlan plan = single_item_plan(16);
+  for (int job = 0; job < 4000; ++job) {
+    const bool stop = job % 2 == 1;
+    CancelToken token;
+    ParallelRunControl ctrl;
+    ctrl.cancel = &token;
+    std::vector<std::atomic<int>> runs(plan.num_chunks());
+    const ParallelRunResult res = pool.run_plan(
+        plan,
+        [&](std::size_t ci, std::size_t, std::size_t) {
+          runs[ci].fetch_add(1);
+          if (stop) {
+            token.request_stop(StopReason::kCancelRequested);
+          }
+          return true;
+        },
+        ctrl);
+    if (stop) {
+      continue;
+    }
+    ASSERT_FALSE(res.stopped()) << "job " << job;
+    for (std::size_t ci = 0; ci < runs.size(); ++ci) {
+      ASSERT_EQ(runs[ci].load(), 1) << "job " << job << ", chunk " << ci;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Chunk plans and the work-stealing scheduler.
-
-TEST(ChunkPlanTest, UniformPlanShape) {
-  const ChunkPlan plan = uniform_plan(10, 4);
-  EXPECT_FALSE(plan.adaptive);
-  EXPECT_EQ(plan.num_items(), 10u);
-  ASSERT_EQ(plan.num_chunks(), 3u);
-  EXPECT_EQ(plan.ranges[0], (std::pair<std::size_t, std::size_t>{0, 4}));
-  EXPECT_EQ(plan.ranges[1], (std::pair<std::size_t, std::size_t>{4, 8}));
-  EXPECT_EQ(plan.ranges[2], (std::pair<std::size_t, std::size_t>{8, 10}));
-  EXPECT_EQ(uniform_plan(0, 4).num_chunks(), 0u);
-}
 
 TEST(ChunkPlanTest, AdaptivePlanBatchesCheapAndIsolatesDense) {
   // target = 108 / (2 threads * 1 range) = 54: the lone cost-100 item
@@ -317,7 +365,7 @@ TEST(WorkerPoolTest, StealsDrainABlockedOwnersShare) {
   // blocked owner's remaining share. Completion therefore proves at
   // least one steal happened (and the counter must say so).
   WorkerPool pool(2);
-  const ChunkPlan plan = uniform_plan(10, 1);
+  const ChunkPlan plan = single_item_plan(10);
   std::atomic<int> others_done{0};
   const ParallelRunResult res = pool.run_plan(
       plan,
@@ -344,7 +392,7 @@ TEST(WorkerPoolTest, LateHighErrorStillRethrowsTheSequentialOne) {
   // chunk 1 still runs, still throws, and wins the rethrow -- exactly
   // what a sequential loop over the plan would have surfaced.
   WorkerPool pool(2);
-  const ChunkPlan plan = uniform_plan(8, 1);  // caller owns 0-3, worker 4-7
+  const ChunkPlan plan = single_item_plan(8);  // caller owns 0-3, worker 4-7
   std::atomic<bool> high_thrown{false};
   try {
     pool.run_plan(
@@ -414,7 +462,6 @@ ParallelEnumOptions par_options(const EnumOptions& enums, int threads) {
   ParallelEnumOptions options;
   options.enums = enums;
   options.num_threads = threads;
-  options.frames_per_chunk = 1;  // maximal sharding stresses the merge
   return options;
 }
 
@@ -431,6 +478,7 @@ TEST(ParallelEnumTest, ExhaustiveSpanningBfsMatchesSequential) {
         build_exhaustive(lcp, graphs, par_options(enums, threads));
     expect_identical(seq, par);
   }
+  expect_identical(seq, per_frame_shards(lcp, graphs, enums));
 }
 
 TEST(ParallelEnumTest, ExhaustiveDegreeOneMatchesSequential) {
@@ -451,12 +499,13 @@ TEST(ParallelEnumTest, ExhaustiveDegreeOneMatchesSequential) {
         build_exhaustive(lcp, graphs, par_options(enums, threads));
     expect_identical(seq, par);
   }
+  expect_identical(seq, per_frame_shards(lcp, graphs, enums));
 }
 
-TEST(ParallelEnumTest, AdaptivePlanDefaultMatchesSequential) {
-  // The default frames_per_chunk = 0 routes through frame_costs +
-  // adaptive_plan: chunk boundaries differ from the pinned-chunk layout,
-  // but the merged result must still be bit-identical to sequential.
+TEST(ParallelEnumTest, AdaptivePlanMatchesSequential) {
+  // The plans cut from frame_costs by adaptive_plan batch cheap frames
+  // and isolate dense ones; whatever the boundaries, the merged result
+  // must be bit-identical to sequential.
   const DegreeOneLcp lcp;
   std::vector<Graph> graphs;
   for (const Graph& g : connected_bipartite(4)) {
@@ -468,12 +517,13 @@ TEST(ParallelEnumTest, AdaptivePlanDefaultMatchesSequential) {
   enums.all_ports = true;
   const NbhdGraph seq = build_exhaustive(lcp, graphs, enums);
   ASSERT_GT(seq.num_views(), 0);
+  const auto frames = enumerate_frames(graphs, enums);
+  const auto costs = frame_costs(lcp, graphs, frames);
   for (const int threads : {2, 4}) {
-    ParallelEnumOptions options;
-    options.enums = enums;
-    options.num_threads = threads;
-    ASSERT_EQ(options.frames_per_chunk, 0);  // adaptive is the default
-    const NbhdGraph par = build_exhaustive(lcp, graphs, options);
+    // The plan has several chunks, so the build merges shards.
+    ASSERT_GT(adaptive_plan(costs, threads).num_chunks(), 1u);
+    const NbhdGraph par =
+        build_exhaustive(lcp, graphs, par_options(enums, threads));
     expect_identical(seq, par);
   }
 }
@@ -539,6 +589,9 @@ TEST(ParallelEnumTest, ProvedEvenCycleMatchesSequential) {
         build_proved(lcp, graphs, par_options(enums, threads));
     expect_identical(seq, par);
   }
+  expect_identical(seq, per_instance_shards(lcp.decoder(),
+                                            proved_instances(lcp, graphs, enums),
+                                            lcp.k()));
 }
 
 TEST(ParallelEnumTest, WitnessFamiliesMatchSequential) {
@@ -562,6 +615,54 @@ TEST(ParallelEnumTest, WitnessFamiliesMatchSequential) {
           family.decoder, family.instances, 2, par_options(enums, threads));
       expect_identical(seq, par);
     }
+    expect_identical(
+        seq, per_instance_shards(family.decoder, family.instances, 2));
+  }
+}
+
+TEST(ParallelEnumTest, PlainAndResumableBuildsAreByteIdentical) {
+  // A plain overload is its resumable call plus a completeness check, so
+  // its graph must serialize to the very bytes of the resumable result --
+  // including through the segmented pool path, which an unreachable
+  // instance budget forces even at one thread. Instance lists have no
+  // resumable builder; their multithreaded overload must match the
+  // sequential one byte for byte instead.
+  const DegreeOneLcp degree_one;
+  const EvenCycleLcp even_cycle;
+  std::vector<Graph> deg1_graphs;
+  for (const Graph& g : connected_bipartite(4)) {
+    if (g.min_degree() == 1) {
+      deg1_graphs.push_back(g);
+    }
+  }
+  const std::vector<Graph> cycles{make_cycle(4), make_cycle(6)};
+  EnumOptions enums;
+  enums.all_ports = true;
+  const std::string exhaustive =
+      state_bytes(build_exhaustive(degree_one, deg1_graphs, enums));
+  const std::string proved =
+      state_bytes(build_proved(even_cycle, cycles, enums));
+  const std::vector<Instance> witnesses = even_cycle_witnesses(6);
+  const std::string instances =
+      state_bytes(build_from_instances(even_cycle.decoder(), witnesses, 2));
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(format("%d threads", threads));
+    const ParallelEnumOptions plain = par_options(enums, threads);
+    ParallelEnumOptions budgeted = plain;
+    budgeted.budget.max_instances = ~std::uint64_t{0};
+    EXPECT_EQ(exhaustive,
+              state_bytes(build_exhaustive(degree_one, deg1_graphs, plain)));
+    for (const ParallelEnumOptions& options : {plain, budgeted}) {
+      EXPECT_EQ(exhaustive, state_bytes(build_exhaustive_resumable(
+                                            degree_one, deg1_graphs, options)
+                                            .nbhd));
+      EXPECT_EQ(proved, state_bytes(build_proved_resumable(even_cycle, cycles,
+                                                           options)
+                                        .nbhd));
+    }
+    EXPECT_EQ(proved, state_bytes(build_proved(even_cycle, cycles, plain)));
+    EXPECT_EQ(instances, state_bytes(build_from_instances(
+                             even_cycle.decoder(), witnesses, 2, plain)));
   }
 }
 
@@ -570,7 +671,6 @@ TEST(ParallelEnumTest, SearchHidingWitnessFindsThePaperCycles) {
   for (const int threads : {1, 2, 4}) {
     ParallelEnumOptions options;
     options.num_threads = threads;
-    options.frames_per_chunk = 1;
     const auto result = search_hiding_witness(
         lcp.decoder(), even_cycle_witnesses(6), 2, options);
     EXPECT_TRUE(result.hiding());
