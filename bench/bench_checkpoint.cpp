@@ -96,7 +96,8 @@ int main() {
               "all ports (%llu frames) ===\n",
               static_cast<unsigned long long>(num_frames));
 
-  const NbhdGraph reference = build_exhaustive(lcp, graphs, enums);
+  const NbhdGraph reference =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(enums)).take();
 
   ParallelEnumOptions base;
   base.enums = enums;
@@ -106,7 +107,11 @@ int main() {
   Sample plain;
   plain.label = "plain";
   plain.seconds = best_seconds(
-      [&] { expect_identical(build_exhaustive(lcp, graphs, base), reference); },
+      [&] {
+        expect_identical(
+            build(BuildSource::exhaustive(lcp, graphs), base).take(),
+            reference);
+      },
       reps);
   plain.overhead = 1.0;
   samples.push_back(plain);
@@ -121,7 +126,7 @@ int main() {
         [&] {
           CheckpointStore(kCkptDir).clear();
           const ResumableBuildResult res =
-              build_exhaustive_resumable(lcp, graphs, options);
+              build(BuildSource::exhaustive(lcp, graphs), options);
           SHLCP_CHECK(res.complete);
           expect_identical(res.nbhd, reference);
         },
@@ -145,11 +150,11 @@ int main() {
         [&] {
           CheckpointStore(kCkptDir).clear();
           const ResumableBuildResult partial =
-              build_exhaustive_resumable(lcp, graphs, first);
+              build(BuildSource::exhaustive(lcp, graphs), first);
           SHLCP_CHECK(!partial.complete);
           SHLCP_CHECK(partial.stop_reason == StopReason::kFrameBudget);
           const ResumableBuildResult res =
-              build_exhaustive_resumable(lcp, graphs, second);
+              build(BuildSource::exhaustive(lcp, graphs), second);
           SHLCP_CHECK(res.complete);
           SHLCP_CHECK(res.resumed_frames > 0);
           expect_identical(res.nbhd, reference);

@@ -26,7 +26,9 @@ void print_replay(bench::Report& report) {
 
   // Fig. 4: odd cycle in V(D, 4).
   const auto witnesses = degree_one_witnesses(4);
-  const auto nbhd = build_from_instances(lcp.decoder(), witnesses, 2);
+  const auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), witnesses, 2), one_thread())
+          .take();
   const auto cycle = nbhd.odd_cycle();
   SHLCP_CHECK(cycle.has_value());
   std::printf("witness family: %zu labeled instances -> V(D,4) subgraph "
@@ -105,7 +107,8 @@ void BM_WitnessNbhdBuild(benchmark::State& state) {
   const auto witnesses = degree_one_witnesses(4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        build_from_instances(lcp.decoder(), witnesses, 2));
+        build(BuildSource::instances(lcp.decoder(), witnesses, 2), one_thread())
+            .take());
   }
 }
 BENCHMARK(BM_WitnessNbhdBuild);

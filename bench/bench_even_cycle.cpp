@@ -25,7 +25,9 @@ void print_replay(bench::Report& report) {
   std::printf("=== E4: even-cycle LCP (Lemma 4.2, Figs. 5/6) ===\n");
 
   const auto witnesses = even_cycle_witnesses(6);
-  const auto nbhd = build_from_instances(lcp.decoder(), witnesses, 2);
+  const auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), witnesses, 2), one_thread())
+          .take();
   const auto cycle = nbhd.odd_cycle();
   SHLCP_CHECK(cycle.has_value());
   std::printf("witness family (C4/C6, all ports, both phases): %zu "

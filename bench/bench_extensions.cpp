@@ -52,8 +52,10 @@ void print_e14(bench::Report& report) {
 
   {
     const RevealingLcp lcp(2);
-    EnumOptions options;
-    const auto nbhd = build_exhaustive(lcp, promise_family(lcp, 4), options);
+    const auto nbhd =
+        build(BuildSource::exhaustive(lcp, promise_family(lcp, 4)),
+              one_thread())
+            .take();
     const Graph g = make_path(4);
     Instance inst = Instance::canonical(g);
     inst.labels = *lcp.prove(g, inst.ports, inst.ids);
@@ -71,7 +73,9 @@ void print_e14(bench::Report& report) {
   {
     const DegreeOneLcp lcp;
     const auto nbhd =
-        build_from_instances(lcp.decoder(), degree_one_witnesses(4), 2);
+        build(BuildSource::instances(lcp.decoder(), degree_one_witnesses(4), 2),
+              one_thread())
+            .take();
     const Graph g = make_path(4);
     Instance inst = Instance::canonical(g);
     inst.labels = degree_one_labeling(g, 0);
@@ -106,7 +110,9 @@ void print_e14(bench::Report& report) {
       labels.at(v) = make_even_cycle_certificate(1, 0, 2, 1);
     }
     inst.labels = std::move(labels);
-    auto nbhd = build_from_instances(lcp.decoder(), {inst}, 2);
+    auto nbhd =
+        build(BuildSource::instances(lcp.decoder(), {inst}, 2), one_thread())
+            .take();
     const auto thr = chromatic_threshold(nbhd, 8);
     const double hidden = hidden_fraction(nbhd, lcp.decoder(), inst);
     const double self =
@@ -126,8 +132,9 @@ void print_e15(bench::Report& report) {
   std::printf("=== E15: spanning-BFS distance labeling (the revealing "
               "bipartiteness certificate) ===\n");
   const SpanningBfsLcp lcp;
-  EnumOptions options;
-  const auto nbhd = build_exhaustive(lcp, promise_family(lcp, 3), options);
+  const auto nbhd =
+      build(BuildSource::exhaustive(lcp, promise_family(lcp, 3)), one_thread())
+          .take();
   SHLCP_CHECK(nbhd.k_colorable(2));
   std::printf("V(D, 3) (exhaustive): %d views, 2-colorable => NOT hiding "
               "(distance parity is the coloring)\n",
@@ -185,7 +192,9 @@ void print_e16(bench::Report& report) {
 void BM_HiddenFraction(benchmark::State& state) {
   const DegreeOneLcp lcp;
   const auto nbhd =
-      build_from_instances(lcp.decoder(), degree_one_witnesses(4), 2);
+      build(BuildSource::instances(lcp.decoder(), degree_one_witnesses(4), 2),
+            one_thread())
+          .take();
   const Graph g = make_path(4);
   Instance inst = Instance::canonical(g);
   inst.labels = degree_one_labeling(g, 0);

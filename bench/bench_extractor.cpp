@@ -42,8 +42,8 @@ void print_replay(bench::Report& report) {
 
   const RevealingLcp revealing(2);
   const auto graphs = bipartite_graphs(4);
-  EnumOptions options;
-  auto nbhd = build_exhaustive(revealing, graphs, options);
+  auto nbhd =
+      build(BuildSource::exhaustive(revealing, graphs), one_thread()).take();
   const int views = nbhd.num_views();
   auto extractor = Extractor::build(revealing.decoder(), std::move(nbhd), 2);
   SHLCP_CHECK(extractor.has_value());
@@ -68,13 +68,19 @@ void print_replay(bench::Report& report) {
   positive["instances"] = static_cast<std::uint64_t>(graphs.size());
 
   const DegreeOneLcp degree_one;
-  auto nb1 = build_from_instances(degree_one.decoder(),
-                                  degree_one_witnesses(4), 2);
+  const auto deg1_witnesses = degree_one_witnesses(4);
+  auto nb1 =
+      build(BuildSource::instances(degree_one.decoder(), deg1_witnesses, 2),
+            one_thread())
+          .take();
   SHLCP_CHECK(
       !Extractor::build(degree_one.decoder(), std::move(nb1), 2).has_value());
   const EvenCycleLcp even_cycle;
-  auto nb2 = build_from_instances(even_cycle.decoder(),
-                                  even_cycle_witnesses(6), 2);
+  const auto cycle_witnesses = even_cycle_witnesses(6);
+  auto nb2 =
+      build(BuildSource::instances(even_cycle.decoder(), cycle_witnesses, 2),
+            one_thread())
+          .take();
   SHLCP_CHECK(
       !Extractor::build(even_cycle.decoder(), std::move(nb2), 2).has_value());
   std::printf("degree-one / even-cycle LCPs: neighborhood graphs are NOT "
@@ -87,8 +93,8 @@ void print_replay(bench::Report& report) {
 void BM_ExtractorCompile(benchmark::State& state) {
   const RevealingLcp lcp(2);
   const auto graphs = bipartite_graphs(static_cast<int>(state.range(0)));
-  EnumOptions options;
-  const auto nbhd = build_exhaustive(lcp, graphs, options);
+  const auto nbhd =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread()).take();
   for (auto _ : state) {
     auto copy = nbhd;
     benchmark::DoNotOptimize(Extractor::build(lcp.decoder(), std::move(copy), 2));
@@ -100,9 +106,9 @@ BENCHMARK(BM_ExtractorCompile)->Arg(3)->Arg(4);
 void BM_ExtractPerNode(benchmark::State& state) {
   const RevealingLcp lcp(2);
   const auto graphs = bipartite_graphs(4);
-  EnumOptions options;
-  auto extractor =
-      Extractor::build(lcp.decoder(), build_exhaustive(lcp, graphs, options), 2);
+  auto extractor = Extractor::build(
+      lcp.decoder(),
+      build(BuildSource::exhaustive(lcp, graphs), one_thread()).take(), 2);
   const Graph g = make_path(4);
   Instance inst = Instance::canonical(g);
   inst.labels = *lcp.prove(g, inst.ports, inst.ids);

@@ -91,11 +91,13 @@ void print_replay(bench::Report& report) {
   {
     const WatermelonLcp cheat(WatermelonVariant::kNoPortCheck);
     const auto instances = no_port_check_c8_witnesses();
-    // The witness search runs through the parallel builder (identical to
-    // a sequential absorb; threads from SHLCP_NUM_THREADS / hardware).
-    auto search = search_hiding_witness(cheat.decoder(), instances, 2);
-    NbhdGraph& nbhd = search.nbhd;
-    const auto& cycle = search.odd_cycle;
+    // The witness build runs on the pool (identical to a sequential
+    // absorb; threads from SHLCP_NUM_THREADS / hardware).
+    const NbhdGraph nbhd =
+        build(BuildSource::instances(cheat.decoder(), instances, 2),
+              ParallelEnumOptions{})
+            .take();
+    const auto cycle = nbhd.odd_cycle();
     SHLCP_CHECK(cycle.has_value());
     const auto expanded = expand_odd_cycle(nbhd, instances, *cycle, 1);
     SHLCP_CHECK_MSG(expanded.ok, expanded.failure);

@@ -56,7 +56,9 @@ void print_growth(bench::Report& report) {
       }
       EnumOptions options;
       options.all_ports = true;
-      const auto nbhd = build_exhaustive(*row.lcp, graphs, options);
+      const auto nbhd =
+          build(BuildSource::exhaustive(*row.lcp, graphs), one_thread(options))
+              .take();
       std::printf("%-12s %3d %8zu %8d %8d %12s\n", row.name, n,
                   graphs.size(), nbhd.num_views(), nbhd.num_edges(),
                   nbhd.k_colorable(2) ? "yes" : "NO (hiding)");
@@ -73,9 +75,9 @@ void print_growth(bench::Report& report) {
 void BM_ExhaustiveBuildRevealing(benchmark::State& state) {
   const RevealingLcp lcp(2);
   const auto graphs = promise_graphs(lcp, static_cast<int>(state.range(0)));
-  EnumOptions options;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(build_exhaustive(lcp, graphs, options));
+    benchmark::DoNotOptimize(
+        build(BuildSource::exhaustive(lcp, graphs), one_thread()).take());
   }
   state.counters["graphs"] = static_cast<double>(graphs.size());
 }
@@ -84,9 +86,9 @@ BENCHMARK(BM_ExhaustiveBuildRevealing)->Arg(3)->Arg(4);
 void BM_ExhaustiveBuildDegreeOne(benchmark::State& state) {
   const DegreeOneLcp lcp;
   const auto graphs = promise_graphs(lcp, static_cast<int>(state.range(0)));
-  EnumOptions options;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(build_exhaustive(lcp, graphs, options));
+    benchmark::DoNotOptimize(
+        build(BuildSource::exhaustive(lcp, graphs), one_thread()).take());
   }
 }
 BENCHMARK(BM_ExhaustiveBuildDegreeOne)->Arg(3)->Arg(4);
@@ -97,7 +99,8 @@ void BM_ProvedBuildEvenCycle(benchmark::State& state) {
   EnumOptions options;
   options.all_ports = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(build_proved(lcp, graphs, options));
+    benchmark::DoNotOptimize(
+        build(BuildSource::proved(lcp, graphs), one_thread(options)).take());
   }
 }
 BENCHMARK(BM_ProvedBuildEvenCycle);

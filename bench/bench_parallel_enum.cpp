@@ -146,7 +146,8 @@ int main() {
   const int reps = bench::smoke() ? 1 : 3;
   const std::vector<int> thread_counts =
       bench::smoke() ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-  const NbhdGraph reference = build_exhaustive(lcp, graphs, enums);
+  const NbhdGraph reference =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(enums)).take();
   const double total_instances =
       static_cast<double>(reference.num_instances_absorbed());
   const std::uint64_t registrations =
@@ -156,9 +157,12 @@ int main() {
   std::vector<Sample> samples;
   Sample seq;
   seq.threads = 0;
-  seq.seconds =
-      run_seconds([&] { return build_exhaustive(lcp, graphs, enums); },
-                  nullptr, reps, &seq.metrics);
+  seq.seconds = run_seconds(
+      [&] {
+        return build(BuildSource::exhaustive(lcp, graphs), one_thread(enums))
+            .take();
+      },
+      nullptr, reps, &seq.metrics);
   seq.instances_per_sec = total_instances / seq.seconds;
   samples.push_back(seq);
 
@@ -168,9 +172,11 @@ int main() {
     options.num_threads = threads;
     Sample s;
     s.threads = threads;
-    s.seconds =
-        run_seconds([&] { return build_exhaustive(lcp, graphs, options); },
-                    &reference, reps, &s.metrics);
+    s.seconds = run_seconds(
+        [&] {
+          return build(BuildSource::exhaustive(lcp, graphs), options).take();
+        },
+        &reference, reps, &s.metrics);
     s.instances_per_sec = total_instances / s.seconds;
     s.speedup = seq.seconds / s.seconds;
     samples.push_back(s);

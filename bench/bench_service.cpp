@@ -181,19 +181,19 @@ bool run_verification(Service& service) {
 
     DegreeOneLcp lcp;
     const std::vector<Instance> instances = degree_one_witnesses(4);
-    ParallelEnumOptions options;
-    options.num_threads = 1;
-    const WitnessSearchResult search =
-        search_hiding_witness(lcp.decoder(), instances, 2, options);
+    const NbhdGraph nbhd =
+        build(BuildSource::instances(lcp.decoder(), instances, 2),
+              one_thread())
+            .take();
+    const std::optional<std::vector<int>> cycle = nbhd.odd_cycle();
     Json expected = Json::object();
     expected["family"] = "degree-one";
     expected["decoder"] = "degree-one";
     expected["num_instances"] = static_cast<std::int64_t>(instances.size());
-    expected["num_views"] = search.nbhd.num_views();
-    expected["num_edges"] = search.nbhd.num_edges();
-    expected["hiding"] = search.hiding();
-    expected["odd_cycle"] =
-        search.odd_cycle ? int_vector_to_json(*search.odd_cycle) : Json();
+    expected["num_views"] = nbhd.num_views();
+    expected["num_edges"] = nbhd.num_edges();
+    expected["hiding"] = cycle.has_value();
+    expected["odd_cycle"] = cycle ? int_vector_to_json(*cycle) : Json();
     ok = verify_one(service, "search_witness", params, expected,
                     "search_witness degree-one") &&
          ok;
@@ -210,8 +210,8 @@ bool run_verification(Service& service) {
 
     EvenCycleLcp lcp;
     const std::vector<Graph> family = {make_cycle(4), make_cycle(6)};
-    EnumOptions enums;
-    const NbhdGraph nbhd = build_proved(lcp, family, enums);
+    const NbhdGraph nbhd =
+        build(BuildSource::proved(lcp, family), one_thread()).take();
     Json expected = Json::object();
     expected["lcp"] = "even-cycle";
     expected["build"] = "proved";

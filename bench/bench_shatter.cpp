@@ -44,8 +44,10 @@ void print_replay(bench::Report& report) {
   for (const bool on_point : {false, true}) {
     const ShatterLcp lcp(on_point ? ShatterVariant::kVectorOnPoint
                                   : ShatterVariant::kLiteral);
-    const auto nbhd = build_from_instances(lcp.decoder(),
-                                           shatter_witnesses(on_point), 2);
+    const auto witnesses = shatter_witnesses(on_point);
+    const auto nbhd =
+        build(BuildSource::instances(lcp.decoder(), witnesses, 2), one_thread())
+            .take();
     const auto cycle = nbhd.odd_cycle();
     SHLCP_CHECK(cycle.has_value());
     std::printf("P1/P2 witness (%s layout): odd cycle length %zu in "

@@ -68,7 +68,9 @@ void print_replay(bench::Report& report) {
     const auto witnesses =
         tag == 0 ? tagged(degree_one_witnesses(4), 0)
                  : tagged(even_cycle_witnesses(6), 1);
-    const auto nbhd = build_from_instances(lcp.decoder(), witnesses, 2);
+    const auto nbhd =
+        build(BuildSource::instances(lcp.decoder(), witnesses, 2), one_thread())
+            .take();
     const auto cycle = nbhd.odd_cycle();
     SHLCP_CHECK(cycle.has_value());
     std::printf("hiding witness via component %d (%s): odd cycle length "

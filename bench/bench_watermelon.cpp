@@ -29,7 +29,9 @@ void print_replay(bench::Report& report) {
 
   const WatermelonLcp lcp;
   const auto witnesses = watermelon_witnesses();
-  const auto nbhd = build_from_instances(lcp.decoder(), witnesses, 2);
+  const auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), witnesses, 2), one_thread())
+          .take();
   const auto cycle = nbhd.odd_cycle();
   SHLCP_CHECK(cycle.has_value());
   std::printf("8-path witness family (id orders x ports x phases = %zu "

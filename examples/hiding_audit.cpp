@@ -41,7 +41,7 @@ void audit(const Lcp& lcp, const char* name) {
   ParallelEnumOptions options;
   options.enums.all_ports = true;
   const auto graphs = promise_family(lcp, 4);
-  auto nbhd = build_exhaustive(lcp, graphs, options);
+  auto nbhd = build(BuildSource::exhaustive(lcp, graphs), options).take();
   std::printf("V(D, 4): %d accepting views, %d compatibility edges "
               "(%llu dedupe hits, %.1f ms in absorb, %d threads)\n",
               nbhd.num_views(), nbhd.num_edges(),

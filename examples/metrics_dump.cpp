@@ -36,8 +36,8 @@ void run_enum() {
       return true;
     });
   }
-  EnumOptions options;
-  const auto nbhd = build_exhaustive(lcp, graphs, options);
+  const auto nbhd =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread()).take();
   std::printf("enum: V(D,4) for degree-one built: %d views / %d edges\n",
               nbhd.num_views(), nbhd.num_edges());
 }

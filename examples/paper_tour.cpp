@@ -30,7 +30,10 @@ namespace {
 void banner(const char* text) { std::printf("\n--- %s ---\n", text); }
 
 bool hiding_via_witnesses(const Lcp& lcp, const std::vector<Instance>& w) {
-  return build_from_instances(lcp.decoder(), w, 2).odd_cycle().has_value();
+  return build(BuildSource::instances(lcp.decoder(), w, 2), one_thread())
+      .take()
+      .odd_cycle()
+      .has_value();
 }
 
 }  // namespace

@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
 
   try {
     const ResumableBuildResult res =
-        build_exhaustive_resumable(*lcp, graphs, options);
+        build(BuildSource::exhaustive(*lcp, graphs), options);
     std::printf("frames: %llu/%llu done (%llu restored from checkpoint)\n",
                 static_cast<unsigned long long>(res.frames_done),
                 static_cast<unsigned long long>(res.num_frames),

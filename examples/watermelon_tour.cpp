@@ -52,7 +52,9 @@ int main() {
 
   // Section 7.2 hiding witness.
   const auto witnesses = watermelon_witnesses();
-  const auto nbhd = build_from_instances(lcp.decoder(), witnesses, 2);
+  const auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), witnesses, 2), one_thread())
+          .take();
   const auto cycle = nbhd.odd_cycle();
   std::printf("\nSection 7.2 witness (8-path, shuffled middle ids): odd "
               "cycle of %zu views in V(D, 8)\n",

@@ -13,10 +13,10 @@ namespace {
 // frame-sharded parallel path tally identical totals (the parity test
 // in tests/metrics_test.cpp pins this): frames are counted once per
 // frame in enumerate_frames / the sequential frame loops (never in
-// for_each_labeled_instance_in_frame, which the parallel workers call
-// per already-counted frame), and instances are counted in the shared
-// for_each_frame_labeling product, which the Instance stream and
-// NbhdGraph::absorb_frame both walk.
+// frame_labelings, which the parallel workers call per already-counted
+// frame), and instances are counted in the shared for_each_frame_labeling
+// product, which the Instance stream and NbhdGraph::absorb_frame both
+// walk.
 metrics::Counter& frames_counter() {
   static metrics::Counter& c = metrics::counter("lcp.enumerate.frames");
   return c;
@@ -119,6 +119,13 @@ bool visit_frame_labelings(const Lcp& lcp, const Graph& g, int graph_index,
 
 }  // namespace
 
+ParallelEnumOptions one_thread(const EnumOptions& enums) {
+  ParallelEnumOptions options;
+  options.enums = enums;
+  options.num_threads = 1;
+  return options;
+}
+
 std::vector<EnumFrame> enumerate_frames(const std::vector<Graph>& graphs,
                                         const EnumOptions& options) {
   std::vector<EnumFrame> frames;
@@ -187,16 +194,6 @@ bool for_each_frame_labeling(
       });
   instances_counter().add(visited);
   return finished;
-}
-
-bool for_each_labeled_instance_in_frame(
-    const Lcp& lcp, const std::vector<Graph>& graphs, const EnumFrame& frame,
-    const EnumOptions& options,
-    const std::function<bool(const Instance&)>& visit) {
-  const auto gi = static_cast<std::size_t>(frame.graph_index);
-  SHLCP_CHECK(gi < graphs.size());
-  return visit_frame_labelings(lcp, graphs[gi], frame.graph_index, frame.ports,
-                               frame.ids, options, visit);
 }
 
 std::optional<Instance> proved_instance_in_frame(

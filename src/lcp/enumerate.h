@@ -7,8 +7,8 @@
 // canonical-only -- e.g. anonymous decoders do not need the id dimension,
 // and vertex-transitive experiments can fix ports.
 //
-// The sweep also comes in a frame-partitioned form for the parallel
-// builders (nbhd/aviews.h): a *frame* is one (graph, ports, ids) triple,
+// The sweep also comes in a frame-partitioned form for build()
+// (nbhd/aviews.h): a *frame* is one (graph, ports, ids) triple,
 // frames are independent (each carries its own labeling product), and
 // enumerate_frames materializes them in the exact order the sequential
 // stream visits them, so chunking frames across workers and reducing in
@@ -60,7 +60,7 @@ struct CheckpointOptions {
 
 /// Options for the multithreaded sweep: the sequential dimension toggles
 /// plus worker-pool shape, resource budgets, and checkpointing. Used by
-/// the parallel builders in nbhd/aviews.h.
+/// build() in nbhd/aviews.h.
 struct ParallelEnumOptions {
   /// Dimension toggles, shared with the sequential stream.
   EnumOptions enums;
@@ -70,8 +70,8 @@ struct ParallelEnumOptions {
   /// batch into coarse chunks, dense frames get chunks of their own.
   int num_threads = 0;
   /// Per-build resource caps (util/budget.h). Default: unlimited. A
-  /// non-default budget requires the *_resumable builders -- the plain
-  /// NbhdGraph-returning builders fail loudly on an early exit rather
+  /// build that trips one returns its completed prefix, marked
+  /// incomplete; ResumableBuildResult::take() fails loudly on it rather
   /// than return a silently truncated graph.
   RunBudget budget;
   /// Frame-granular checkpoint/resume. Default: disabled.
@@ -85,6 +85,10 @@ struct ParallelEnumOptions {
   /// (util/parallel.h). 0 disables the watchdog.
   std::uint64_t stall_timeout_ms = 0;
 };
+
+/// The options of a sequential build over `enums`: one worker thread and
+/// nothing that can interrupt it.
+ParallelEnumOptions one_thread(const EnumOptions& enums = {});
 
 /// One (graph, ports, ids) frame of the sweep. `graph_index` indexes the
 /// graph family the frame was enumerated from.
@@ -137,13 +141,6 @@ FrameLabelings frame_labelings(const Lcp& lcp, const std::vector<Graph>& graphs,
 bool for_each_frame_labeling(
     const FrameLabelings& frame,
     const std::function<bool(const std::vector<int>&)>& visit);
-
-/// Visits every labeling of one frame (labelings in certificate-space
-/// product order, as the sequential stream). Return false from `visit` to
-/// stop early; returns false iff stopped.
-bool for_each_labeled_instance_in_frame(
-    const Lcp& lcp, const std::vector<Graph>& graphs, const EnumFrame& frame,
-    const EnumOptions& options, const std::function<bool(const Instance&)>& visit);
 
 /// The honestly-labeled instance of one frame: the prover's certificates,
 /// or nullopt when the prover declines the frame.

@@ -54,7 +54,9 @@ PipelineResult run_theorem15_pipeline(const Decoder& decoder,
                                       const std::vector<Instance>& instances,
                                       Ident id_bound) {
   PipelineResult result;
-  result.nbhd = build_from_instances(decoder, instances, /*k=*/2);
+  result.nbhd =
+      build(BuildSource::instances(decoder, instances, /*k=*/2), one_thread())
+          .take();
 
   const auto first_cycle = result.nbhd.odd_cycle();
   if (!first_cycle.has_value()) {

@@ -323,130 +323,109 @@ CheckpointManifest frame_manifest(const Lcp& lcp,
   return m;
 }
 
-/// The options of a one-thread build that nothing interrupts.
-ParallelEnumOptions one_thread(const EnumOptions& enums) {
-  ParallelEnumOptions options;
-  options.enums = enums;
-  options.num_threads = 1;
-  return options;
-}
-
-/// Error for the plain overloads when an interrupt-aware build did not
-/// run to completion.
-[[noreturn]] void throw_incomplete(const char* builder,
-                                   const ResumableBuildResult& res) {
-  SHLCP_CHECK_MSG(
-      false,
-      format("%s stopped early (%s) after %llu of %llu frames -- partial "
-             "results are only available via the *_resumable builders",
-             builder, to_string(res.stop_reason),
-             static_cast<unsigned long long>(res.frames_done),
-             static_cast<unsigned long long>(res.num_frames)));
-}
-
-/// The plain overloads' result: the graph of a complete build, else
-/// throw_incomplete -- a truncated V(D, n) is never returned silently.
-NbhdGraph take_complete(const char* builder, ResumableBuildResult&& res) {
-  if (!res.complete) {
-    throw_incomplete(builder, res);
-  }
-  return std::move(res.nbhd);
-}
-
 }  // namespace
 
-NbhdGraph build_exhaustive(const Lcp& lcp, const std::vector<Graph>& graphs,
-                           const EnumOptions& options) {
-  return build_exhaustive(lcp, graphs, one_thread(options));
+NbhdGraph ResumableBuildResult::take() && {
+  SHLCP_CHECK_MSG(
+      complete,
+      format("build stopped early (%s) after %llu of %llu frames -- partial "
+             "results are only available from the resumable result itself, "
+             "not from take()",
+             to_string(stop_reason),
+             static_cast<unsigned long long>(frames_done),
+             static_cast<unsigned long long>(num_frames)));
+  return std::move(nbhd);
+}
+
+BuildSource BuildSource::exhaustive(const Lcp& lcp,
+                                    const std::vector<Graph>& graphs) {
+  BuildSource source;
+  source.kind_ = Kind::kExhaustive;
+  source.lcp_ = &lcp;
+  source.graphs_ = &graphs;
+  return source;
+}
+
+BuildSource BuildSource::proved(const Lcp& lcp,
+                                const std::vector<Graph>& graphs) {
+  BuildSource source = exhaustive(lcp, graphs);
+  source.kind_ = Kind::kProved;
+  return source;
+}
+
+BuildSource BuildSource::instances(const Decoder& decoder,
+                                   const std::vector<Instance>& instances,
+                                   int k) {
+  BuildSource source;
+  source.kind_ = Kind::kInstances;
+  source.instances_ = &instances;
+  source.decoder_ = &decoder;
+  source.k_ = k;
+  return source;
+}
+
+ResumableBuildResult build(const BuildSource& source,
+                           const ParallelEnumOptions& options) {
+  Sweep sweep;
+  if (source.kind_ == BuildSource::Kind::kInstances) {
+    SHLCP_CHECK_MSG(!interruptible(options),
+                    "build: the instance source does not support budgets, "
+                    "cancellation, watchdogs or checkpointing; use a frame "
+                    "source for interruptible sweeps");
+    sweep.kind = "instances";
+    sweep.num_items = source.instances_->size();
+    sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker&) {
+      shard.absorb(*source.decoder_, (*source.instances_)[i], source.k_);
+      return true;
+    };
+    return run_resumable(sweep, options);
+  }
+
+  const Lcp& lcp = *source.lcp_;
+  const auto yes_graphs = filter_yes_graphs(*source.graphs_, lcp.k());
+  const auto frames = enumerate_frames(yes_graphs, options.enums);
+  sweep.num_items = frames.size();
+  sweep.manifest = [&] {
+    return frame_manifest(lcp, frames, options.enums, sweep.kind);
+  };
+  if (source.kind_ == BuildSource::Kind::kExhaustive) {
+    sweep.kind = "exhaustive";
+    sweep.costs = [&] { return frame_costs(lcp, yes_graphs, frames); };
+    sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker& tracker) {
+      const FrameLabelings labelings =
+          frame_labelings(lcp, yes_graphs, frames[i], options.enums);
+      const std::uint64_t seen = shard.absorb_frame(
+          lcp.decoder(), labelings, lcp.k(), [&](std::uint64_t) {
+            return !tracker.should_stop() ||
+                   !is_hard_stop(tracker.token().reason());
+          });
+      tracker.add_instances(seen);
+      return seen == labelings.num_labelings;
+    };
+  } else {
+    // Proved builds do one prove() per frame -- near-uniform work, so no
+    // cost model: the plans cut evenly-sized chunks.
+    sweep.kind = "proved";
+    sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker& tracker) {
+      const auto inst = proved_instance_in_frame(lcp, yes_graphs, frames[i]);
+      if (inst.has_value()) {
+        shard.absorb(lcp.decoder(), *inst, lcp.k());
+        tracker.add_instances(1);
+      }
+      return true;
+    };
+  }
+  return run_resumable(sweep, options);
 }
 
 NbhdGraph build_exhaustive(const Lcp& lcp, const std::vector<Graph>& graphs,
                            const ParallelEnumOptions& options) {
-  return take_complete("build_exhaustive",
-                       build_exhaustive_resumable(lcp, graphs, options));
-}
-
-ResumableBuildResult build_exhaustive_resumable(
-    const Lcp& lcp, const std::vector<Graph>& graphs,
-    const ParallelEnumOptions& options) {
-  const auto yes_graphs = filter_yes_graphs(graphs, lcp.k());
-  const auto frames = enumerate_frames(yes_graphs, options.enums);
-  Sweep sweep;
-  sweep.kind = "exhaustive";
-  sweep.num_items = frames.size();
-  sweep.costs = [&] { return frame_costs(lcp, yes_graphs, frames); };
-  sweep.manifest = [&] {
-    return frame_manifest(lcp, frames, options.enums, sweep.kind);
-  };
-  sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker& tracker) {
-    const FrameLabelings labelings =
-        frame_labelings(lcp, yes_graphs, frames[i], options.enums);
-    const std::uint64_t seen = shard.absorb_frame(
-        lcp.decoder(), labelings, lcp.k(), [&](std::uint64_t) {
-          return !tracker.should_stop() ||
-                 !is_hard_stop(tracker.token().reason());
-        });
-    tracker.add_instances(seen);
-    return seen == labelings.num_labelings;
-  };
-  return run_resumable(sweep, options);
+  return build(BuildSource::exhaustive(lcp, graphs), options).take();
 }
 
 NbhdGraph build_proved(const Lcp& lcp, const std::vector<Graph>& graphs,
                        const EnumOptions& options) {
-  return build_proved(lcp, graphs, one_thread(options));
-}
-
-NbhdGraph build_proved(const Lcp& lcp, const std::vector<Graph>& graphs,
-                       const ParallelEnumOptions& options) {
-  return take_complete("build_proved",
-                       build_proved_resumable(lcp, graphs, options));
-}
-
-ResumableBuildResult build_proved_resumable(const Lcp& lcp,
-                                            const std::vector<Graph>& graphs,
-                                            const ParallelEnumOptions& options) {
-  const auto yes_graphs = filter_yes_graphs(graphs, lcp.k());
-  const auto frames = enumerate_frames(yes_graphs, options.enums);
-  // Proved builds do one prove() per frame -- near-uniform work, so no
-  // cost model: the plans cut evenly-sized chunks.
-  Sweep sweep;
-  sweep.kind = "proved";
-  sweep.num_items = frames.size();
-  sweep.manifest = [&] {
-    return frame_manifest(lcp, frames, options.enums, sweep.kind);
-  };
-  sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker& tracker) {
-    const auto inst = proved_instance_in_frame(lcp, yes_graphs, frames[i]);
-    if (inst.has_value()) {
-      shard.absorb(lcp.decoder(), *inst, lcp.k());
-      tracker.add_instances(1);
-    }
-    return true;
-  };
-  return run_resumable(sweep, options);
-}
-
-NbhdGraph build_from_instances(const Decoder& decoder,
-                               const std::vector<Instance>& instances, int k) {
-  return build_from_instances(decoder, instances, k, one_thread({}));
-}
-
-NbhdGraph build_from_instances(const Decoder& decoder,
-                               const std::vector<Instance>& instances, int k,
-                               const ParallelEnumOptions& options) {
-  SHLCP_CHECK_MSG(!interruptible(options),
-                  "build_from_instances does not support budgets, "
-                  "cancellation, or checkpointing; use the frame-based "
-                  "*_resumable builders for interruptible sweeps");
-  Sweep sweep;
-  sweep.kind = "instances";
-  sweep.num_items = instances.size();
-  sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker&) {
-    shard.absorb(decoder, instances[i], k);
-    return true;
-  };
-  return take_complete("build_from_instances", run_resumable(sweep, options));
+  return build(BuildSource::proved(lcp, graphs), one_thread(options)).take();
 }
 
 }  // namespace shlcp

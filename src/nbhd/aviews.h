@@ -1,21 +1,22 @@
-// Builders for the accepting neighborhood graph (Lemma 3.1).
+// The builder of the accepting neighborhood graph (Lemma 3.1).
 //
-// Lemma 3.1's sequential algorithm iterates over *all* labeled
-// yes-instances of bounded size; build_exhaustive reproduces it verbatim
-// over a supplied graph family and the LCP's certificate space. That is
-// exact but exponential, so two cheaper builders exist:
+// One call builds V(D, n): build(source, options). The source says what
+// the sweep absorbs:
 //
-//  - build_proved absorbs only honestly-labeled instances. The result is
-//    a *subgraph* of V(D, n): odd cycles found in it are valid hiding
-//    witnesses (Lemma 3.2's "only if" direction needs just one), but
-//    k-colorability of the subgraph does NOT prove non-hiding.
-//  - build_from_instances absorbs an explicit witness list -- used to
+//  - BuildSource::exhaustive reproduces Lemma 3.1's sequential algorithm
+//    verbatim: every labeled yes-instance over a supplied graph family
+//    and the LCP's certificate space. Exact but exponential.
+//  - BuildSource::proved absorbs only honestly-labeled instances. The
+//    result is a *subgraph* of V(D, n): odd cycles found in it are valid
+//    hiding witnesses (Lemma 3.2's "only if" direction needs just one),
+//    but k-colorability of the subgraph does NOT prove non-hiding.
+//  - BuildSource::instances absorbs an explicit witness list -- used to
 //    replay the paper's figures (see nbhd/witness.h).
 //
-// Every builder runs on one engine. With one thread and no budget,
-// token, watchdog or checkpoint, it absorbs every frame (or instance)
-// straight into the result. Otherwise it cuts the sweep into contiguous
-// chunks of (graph, ports, ids) frames (or instances) by a deterministic,
+// Every source runs on one engine. With one thread and no budget, token,
+// watchdog or checkpoint, it absorbs every frame (or instance) straight
+// into the result. Otherwise it cuts the sweep into contiguous chunks of
+// (graph, ports, ids) frames (or instances) by a deterministic,
 // cost-adaptive plan -- cheap frames batch into coarse chunks, labeling-
 // dense frames get chunks of their own -- and runs them on a
 // work-stealing pool (util/parallel.h). Each chunk is absorbed into a
@@ -25,16 +26,16 @@
 // chunk boundaries or steal timing; tests/parallel_enum_test.cpp asserts
 // it.
 //
-// Interrupt safety: the *_resumable builders expose the engine's result.
-// The sweep runs under a RunBudget / CancelToken and (optionally)
-// frame-granular checkpointing (nbhd/checkpoint.h). An early exit --
-// budget trip, SIGINT, external cancellation, stall -- returns the graph
-// built from the completed frame prefix plus an explicit StopReason;
-// with a checkpoint directory configured the prefix is persisted and a
-// later call resumes from it, producing a final graph bit-identical to
-// an uninterrupted build (tests/checkpoint_test.cpp). The plain
-// NbhdGraph-returning overloads are the same call, but fail loudly on an
-// early exit: a truncated V(D, n) is never returned silently.
+// Interrupt safety: a frame sweep runs under a RunBudget / CancelToken
+// and (optionally) frame-granular checkpointing (nbhd/checkpoint.h). An
+// early exit -- budget trip, SIGINT, external cancellation, stall --
+// returns the graph built from the completed frame prefix plus an
+// explicit StopReason; with a checkpoint directory configured the prefix
+// is persisted and a later call resumes from it, producing a final graph
+// bit-identical to an uninterrupted build (tests/checkpoint_test.cpp).
+// The manifest records the source, and resuming under another source is
+// a loud CheckError. ResumableBuildResult::take() is the "complete or
+// throw" form: a truncated V(D, n) is never returned silently.
 
 #pragma once
 
@@ -46,7 +47,8 @@
 
 namespace shlcp {
 
-/// Result of a budget-aware (and possibly checkpointed) build.
+/// Result of a build. A budget, token, watchdog or checkpoint can stop a
+/// frame sweep early; `complete` says whether it ran to the end.
 struct ResumableBuildResult {
   /// The graph built from frames [0, frames_done). Equal to the full
   /// build iff `complete`.
@@ -65,54 +67,62 @@ struct ResumableBuildResult {
   /// Path of the manifest this run wrote/updated; empty when
   /// checkpointing is disabled.
   std::string manifest_path;
+
+  /// The graph of a complete build. Throws CheckError when the build
+  /// stopped early.
+  NbhdGraph take() &&;
 };
 
-/// Exact V(D, n) restricted to the yes-graphs among `graphs`, enumerating
-/// every (ports, ids, labeling) per EnumOptions. Cost: the product of the
-/// per-node certificate-space sizes per frame.
-NbhdGraph build_exhaustive(const Lcp& lcp, const std::vector<Graph>& graphs,
-                           const EnumOptions& options);
+/// What a build sweeps. A source refers to its arguments without copying
+/// them and must not outlive them; with a temporary argument, make it
+/// inside the call: build(BuildSource::proved(lcp, {g}), options).
+class BuildSource {
+ public:
+  /// Exact V(D, n) restricted to the yes-graphs among `graphs`: every
+  /// (ports, ids, labeling) per options.enums. Cost: the product of the
+  /// per-node certificate-space sizes per frame.
+  static BuildSource exhaustive(const Lcp& lcp,
+                                const std::vector<Graph>& graphs);
+  /// The subgraph of V(D, n) generated by the honest prover over the
+  /// yes-graphs among `graphs` (frames the prover declines are skipped).
+  static BuildSource proved(const Lcp& lcp, const std::vector<Graph>& graphs);
+  /// The subgraph of V(D, n) generated by explicit labeled instances,
+  /// each of whose graphs must be k-colorable. Ignores options.enums;
+  /// budgets, tokens, watchdogs and checkpoints are a CheckError (witness
+  /// lists are small).
+  static BuildSource instances(const Decoder& decoder,
+                               const std::vector<Instance>& instances, int k);
 
-/// Multithreaded build_exhaustive; bit-identical to the sequential build.
-/// With budget/checkpoint/cancel options set, throws CheckError if the
-/// build cannot run to completion (use build_exhaustive_resumable to
-/// consume partial results).
+ private:
+  friend ResumableBuildResult build(const BuildSource& source,
+                                    const ParallelEnumOptions& options);
+
+  enum class Kind { kExhaustive, kProved, kInstances };
+  BuildSource() = default;
+
+  Kind kind_ = Kind::kExhaustive;
+  const Lcp* lcp_ = nullptr;                          // frame sources
+  const std::vector<Graph>* graphs_ = nullptr;        // frame sources
+  const std::vector<Instance>* instances_ = nullptr;  // instance source
+  const Decoder* decoder_ = nullptr;                  // instance source
+  int k_ = 0;                                         // instance source
+};
+
+/// Builds V(D, n), or the subgraph `source` generates, on
+/// options.num_threads workers; bit-identical at every thread count.
+ResumableBuildResult build(const BuildSource& source,
+                           const ParallelEnumOptions& options);
+
+/// build(BuildSource::exhaustive(lcp, graphs), options).take(). bench/e2e
+/// compiles against this signature; the benchmark change that moves
+/// bench/e2e onto build() deletes it.
 NbhdGraph build_exhaustive(const Lcp& lcp, const std::vector<Graph>& graphs,
                            const ParallelEnumOptions& options);
 
-/// Budget-aware, checkpointable build_exhaustive. Never throws on budget
-/// exhaustion or cancellation -- an early exit is reported explicitly in
-/// the result.
-ResumableBuildResult build_exhaustive_resumable(
-    const Lcp& lcp, const std::vector<Graph>& graphs,
-    const ParallelEnumOptions& options);
-
-/// Subgraph of V(D, n) generated by the honest prover over `graphs`
-/// (frames the prover declines are skipped).
+/// build(BuildSource::proved(lcp, graphs), one_thread(options)).take().
+/// bench/e2e compiles against this signature; the benchmark change that
+/// moves bench/e2e onto build() deletes it.
 NbhdGraph build_proved(const Lcp& lcp, const std::vector<Graph>& graphs,
                        const EnumOptions& options);
-
-/// Multithreaded build_proved; bit-identical to the sequential build.
-/// Same early-exit contract as the parallel build_exhaustive.
-NbhdGraph build_proved(const Lcp& lcp, const std::vector<Graph>& graphs,
-                       const ParallelEnumOptions& options);
-
-/// Budget-aware, checkpointable build_proved.
-ResumableBuildResult build_proved_resumable(const Lcp& lcp,
-                                            const std::vector<Graph>& graphs,
-                                            const ParallelEnumOptions& options);
-
-/// Subgraph of V(D, n) generated by explicit labeled instances. Each
-/// instance's graph must be k-colorable.
-NbhdGraph build_from_instances(const Decoder& decoder,
-                               const std::vector<Instance>& instances, int k);
-
-/// Multithreaded build_from_instances (instances chunked instead of
-/// frames); bit-identical to the sequential build. Budget / checkpoint /
-/// cancellation / watchdog options are not supported here (witness lists
-/// are small); setting any of them is a loud CheckError.
-NbhdGraph build_from_instances(const Decoder& decoder,
-                               const std::vector<Instance>& instances, int k,
-                               const ParallelEnumOptions& options);
 
 }  // namespace shlcp

@@ -72,13 +72,10 @@ void NbhdGraph::register_edge(int a, int b, const Provenance& prov) {
   }
 }
 
-int NbhdGraph::absorb(const Decoder& decoder, const Instance& inst, int k,
-                      bool require_yes) {
+int NbhdGraph::absorb(const Decoder& decoder, const Instance& inst, int k) {
   const AbsorbTimer timer(&stats_.absorb_ns);
-  if (require_yes) {
-    SHLCP_CHECK_MSG(is_k_colorable(inst.g, k),
-                    "V(D, n) is built from yes-instances only");
-  }
+  SHLCP_CHECK_MSG(is_k_colorable(inst.g, k),
+                  "V(D, n) is built from yes-instances only");
   const int instance_index = next_instance_++;
   const int r = decoder.radius();
   const bool anon = decoder.anonymous();

@@ -76,12 +76,11 @@ class NbhdGraph {
  public:
   /// Absorbs one labeled instance: registers the accepting views of
   /// `decoder` (anonymized when the decoder is anonymous) and the edges
-  /// between accepting views of adjacent nodes. When `require_yes` is
-  /// true (the default -- V(D, n) is defined over yes-instances only) the
-  /// graph must be k-colorable; pass the language's k. Returns the
-  /// instance index assigned for provenance.
-  int absorb(const Decoder& decoder, const Instance& inst, int k,
-             bool require_yes = true);
+  /// between accepting views of adjacent nodes. V(D, n) is defined over
+  /// yes-instances only, so the graph must be k-colorable (CheckError
+  /// otherwise); pass the language's k. Returns the instance index
+  /// assigned for provenance.
+  int absorb(const Decoder& decoder, const Instance& inst, int k);
 
   /// Absorbs every labeling of one frame in product order, with exactly
   /// the result of calling absorb(decoder, inst, k) on each labeled

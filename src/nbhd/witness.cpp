@@ -13,16 +13,6 @@
 
 namespace shlcp {
 
-WitnessSearchResult search_hiding_witness(const Decoder& decoder,
-                                          const std::vector<Instance>& instances,
-                                          int k,
-                                          const ParallelEnumOptions& options) {
-  WitnessSearchResult result;
-  result.nbhd = build_from_instances(decoder, instances, k, options);
-  result.odd_cycle = result.nbhd.odd_cycle();
-  return result;
-}
-
 Labeling degree_one_labeling(const Graph& g, Node hidden) {
   SHLCP_CHECK(g.degree(hidden) == 1);
   const auto res = check_bipartite(g);

@@ -31,25 +31,6 @@
 
 namespace shlcp {
 
-/// Outcome of a hiding-witness search over an explicit instance family:
-/// the V(D, n) subgraph those instances generate and, when the decoder
-/// hides, the odd cycle certifying it (Lemma 3.2).
-struct WitnessSearchResult {
-  NbhdGraph nbhd;
-  std::optional<std::vector<int>> odd_cycle;
-
-  /// True iff an odd cycle (hence a hiding certificate) was found.
-  [[nodiscard]] bool hiding() const { return odd_cycle.has_value(); }
-};
-
-/// Builds the V(D, n) subgraph over `instances` -- multithreaded per
-/// `options`, bit-identical to a sequential absorb -- and searches it for
-/// an odd cycle. This is the one-call form of the paper-figure replays:
-/// feed it a witness family from the generators below.
-WitnessSearchResult search_hiding_witness(
-    const Decoder& decoder, const std::vector<Instance>& instances, int k,
-    const ParallelEnumOptions& options = {});
-
 /// Honest degree-one labeling with a chosen hidden leaf. Requires g
 /// bipartite, degree(hidden) == 1.
 Labeling degree_one_labeling(const Graph& g, Node hidden);

@@ -539,20 +539,20 @@ Json Service::op_search_witness(const Admitted& request) {
 
   // Single-threaded build: the service's parallelism is across requests
   // (the server's poll loops, one thread each).
-  ParallelEnumOptions options;
-  options.num_threads = 1;
-  const WitnessSearchResult search =
-      search_hiding_witness(lcp.decoder(), instances, /*k=*/2, options);
+  const NbhdGraph nbhd =
+      build(BuildSource::instances(lcp.decoder(), instances, /*k=*/2),
+            one_thread())
+          .take();
+  const std::optional<std::vector<int>> cycle = nbhd.odd_cycle();
 
   Json result = Json::object();
   result["family"] = family;
   result["decoder"] = lcp.decoder().name();
   result["num_instances"] = static_cast<std::int64_t>(instances.size());
-  result["num_views"] = search.nbhd.num_views();
-  result["num_edges"] = search.nbhd.num_edges();
-  result["hiding"] = search.hiding();
-  result["odd_cycle"] =
-      search.odd_cycle ? int_vector_to_json(*search.odd_cycle) : Json();
+  result["num_views"] = nbhd.num_views();
+  result["num_edges"] = nbhd.num_edges();
+  result["hiding"] = cycle.has_value();
+  result["odd_cycle"] = cycle ? int_vector_to_json(*cycle) : Json();
   return result;
 }
 
@@ -672,13 +672,14 @@ Json Service::op_build_nbhd(const Admitted& request) {
   // the same graph whatever its budget, so cacheability is unaffected).
   options.budget.wall_ms = remaining_ms;
 
-  const std::string build = member_string(params, "build", "proved");
-  if (build != "exhaustive" && build != "proved") {
+  const std::string source = member_string(params, "build", "proved");
+  if (source != "exhaustive" && source != "proved") {
     throw_params("build_nbhd: 'build' must be \"exhaustive\" or \"proved\"");
   }
   const ResumableBuildResult res =
-      build == "exhaustive" ? build_exhaustive_resumable(lcp, graphs, options)
-                            : build_proved_resumable(lcp, graphs, options);
+      build(source == "exhaustive" ? BuildSource::exhaustive(lcp, graphs)
+                                   : BuildSource::proved(lcp, graphs),
+            options);
   if (!res.complete) {
     deadline_cancel_counter().inc();
     throw ServiceError{
@@ -694,7 +695,7 @@ Json Service::op_build_nbhd(const Admitted& request) {
 
   Json result = Json::object();
   result["lcp"] = lcp.name();
-  result["build"] = build;
+  result["build"] = source;
   result["num_graphs"] = static_cast<std::int64_t>(graphs.size());
   result["num_views"] = nbhd.num_views();
   result["num_edges"] = nbhd.num_edges();

@@ -20,9 +20,9 @@
 //                   or solve for one (graph/algorithms::k_coloring).
 //   search_witness  replay a hiding-witness family search
 //                   (nbhd/witness.h) and report the odd cycle.
-//   build_nbhd      build V(D, n) over a graph family spec via
-//                   build_exhaustive / build_proved and report its
-//                   shape + 2-colorability.
+//   build_nbhd      build V(D, n) over a graph family spec from the
+//                   exhaustive or proved source (nbhd/aviews.h) and
+//                   report its shape + 2-colorability.
 //   info            service metadata + live cache stats (never cached).
 //   health          load snapshot for routers and supervisors: queue
 //                   depth/cap, admitted/shed totals, drain state, cache

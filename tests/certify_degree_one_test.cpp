@@ -170,7 +170,9 @@ TEST(DegreeOneTest, HidingViaFig34Witness) {
   const DegreeOneLcp lcp;
   const auto instances = degree_one_witnesses(4);
   ASSERT_FALSE(instances.empty());
-  const auto nbhd = build_from_instances(lcp.decoder(), instances, 2);
+  const auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), instances, 2), one_thread())
+          .take();
   EXPECT_GT(nbhd.num_views(), 3);
   const auto cycle = nbhd.odd_cycle();
   ASSERT_TRUE(cycle.has_value()) << "no odd cycle: decoder would be extractable";
@@ -193,7 +195,8 @@ TEST(DegreeOneTest, HidingWitnessSurvivesExhaustiveConstruction) {
   }
   EnumOptions options;
   options.all_ports = true;
-  const auto nbhd = build_exhaustive(lcp, graphs, options);
+  const auto nbhd =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(options)).take();
   EXPECT_FALSE(nbhd.k_colorable(2));
 }
 

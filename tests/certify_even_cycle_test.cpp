@@ -144,7 +144,9 @@ TEST(EvenCycleTest, HidingViaFig56Witness) {
   const EvenCycleLcp lcp;
   const auto instances = even_cycle_witnesses(6);
   ASSERT_FALSE(instances.empty());
-  const auto nbhd = build_from_instances(lcp.decoder(), instances, 2);
+  const auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), instances, 2), one_thread())
+          .take();
   const auto cycle = nbhd.odd_cycle();
   ASSERT_TRUE(cycle.has_value())
       << "no odd cycle among the witness views: hiding would fail";
@@ -177,7 +179,9 @@ TEST(EvenCycleTest, MatchedPortsGiveSelfLoopWitness) {
 
   const EvenCycleLcp lcp;
   ASSERT_TRUE(lcp.decoder().accepts_all(inst));
-  const auto nbhd = build_from_instances(lcp.decoder(), {inst}, 2);
+  const auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), {inst}, 2), one_thread())
+          .take();
   EXPECT_EQ(nbhd.num_views(), 1);
   EXPECT_TRUE(nbhd.graph().has_edge(0, 0));  // the self-loop
   EXPECT_FALSE(nbhd.k_colorable(2));

@@ -204,7 +204,9 @@ TEST(ShatterTest, HidingViaP1P2Witness) {
     for (const Instance& inst : instances) {
       EXPECT_TRUE(lcp.decoder().accepts_all(inst));
     }
-    const auto nbhd = build_from_instances(lcp.decoder(), instances, 2);
+    const auto nbhd =
+        build(BuildSource::instances(lcp.decoder(), instances, 2), one_thread())
+            .take();
     EXPECT_TRUE(nbhd.odd_cycle().has_value())
         << "layout " << (on_point ? "vector-on-point" : "literal")
         << ": hiding witness missing";

@@ -159,12 +159,18 @@ TEST_F(Theorem11Fixture, HidingInheritedFromBothComponents) {
   };
   {
     const auto instances = tag_instances(degree_one_witnesses(4), 0);
-    const auto nbhd = build_from_instances(lcp_.decoder(), instances, 2);
+    const auto nbhd =
+        build(BuildSource::instances(lcp_.decoder(), instances, 2),
+              one_thread())
+            .take();
     EXPECT_TRUE(nbhd.odd_cycle().has_value());
   }
   {
     const auto instances = tag_instances(even_cycle_witnesses(6), 1);
-    const auto nbhd = build_from_instances(lcp_.decoder(), instances, 2);
+    const auto nbhd =
+        build(BuildSource::instances(lcp_.decoder(), instances, 2),
+              one_thread())
+            .take();
     EXPECT_TRUE(nbhd.odd_cycle().has_value());
   }
 }

@@ -131,7 +131,8 @@ TEST(UniversalTest, NotHidingExtractorExists) {
   }
   EnumOptions options;
   options.all_id_orders = true;
-  auto nbhd = build_proved(lcp, graphs, options);
+  auto nbhd =
+      build(BuildSource::proved(lcp, graphs), one_thread(options)).take();
   EXPECT_TRUE(nbhd.k_colorable(2));
   auto extractor = Extractor::build(lcp.decoder(), std::move(nbhd), 2);
   ASSERT_TRUE(extractor.has_value());

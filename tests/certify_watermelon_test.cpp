@@ -169,7 +169,9 @@ TEST(WatermelonTest, HidingViaSection72Witness) {
   for (const Instance& inst : instances) {
     ASSERT_TRUE(lcp.decoder().accepts_all(inst));
   }
-  const auto nbhd = build_from_instances(lcp.decoder(), instances, 2);
+  const auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), instances, 2), one_thread())
+          .take();
   const auto cycle = nbhd.odd_cycle();
   ASSERT_TRUE(cycle.has_value())
       << "Section 7.2 witness family yields no odd cycle";

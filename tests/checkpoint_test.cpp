@@ -174,7 +174,8 @@ TEST(CheckpointTest, NbhdGraphJsonRoundTrip) {
   const auto graphs = connected_bipartite(3);
   EnumOptions enums;
   enums.all_id_orders = true;
-  const NbhdGraph built = build_exhaustive(lcp, graphs, enums);
+  const NbhdGraph built =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(enums)).take();
   ASSERT_GT(built.num_views(), 0);
   const NbhdGraph back = NbhdGraph::from_json(built.to_json());
   expect_identical(built, back);
@@ -221,7 +222,9 @@ TEST(CheckpointTest, InterruptedThenResumedIsBitIdentical) {
   cases.push_back(ResumeCase{"deg1", degree_one, deg1_graphs, port_enums});
 
   for (const ResumeCase& c : cases) {
-    const NbhdGraph seq = build_exhaustive(c.lcp, c.graphs, c.enums);
+    const NbhdGraph seq =
+        build(BuildSource::exhaustive(c.lcp, c.graphs), one_thread(c.enums))
+            .take();
     ASSERT_GT(seq.num_views(), 0) << c.name;
     // The finest sharding the merge can see: one shard per frame.
     expect_identical(seq, per_frame_shards(c.lcp, c.graphs, c.enums));
@@ -246,7 +249,7 @@ TEST(CheckpointTest, InterruptedThenResumedIsBitIdentical) {
       std::uint64_t prev_done = 0;
       int runs = 0;
       for (;;) {
-        res = build_exhaustive_resumable(c.lcp, c.graphs, options);
+        res = build(BuildSource::exhaustive(c.lcp, c.graphs), options);
         ++runs;
         ASSERT_LT(runs, 100) << c.name << ": resume loop did not converge";
         if (res.complete) {
@@ -276,7 +279,7 @@ TEST(CheckpointTest, InterruptedThenResumedIsBitIdentical) {
       // Resuming a complete checkpoint is a no-op that returns the same
       // bit-identical graph.
       const ResumableBuildResult again =
-          build_exhaustive_resumable(c.lcp, c.graphs, options);
+          build(BuildSource::exhaustive(c.lcp, c.graphs), options);
       EXPECT_TRUE(again.complete);
       EXPECT_EQ(again.resumed_frames, again.num_frames);
       expect_identical(seq, again.nbhd);
@@ -289,7 +292,8 @@ TEST(CheckpointTest, ProvedBuilderResumesBitIdentically) {
   const std::vector<Graph> graphs{make_cycle(4), make_cycle(6)};
   EnumOptions enums;
   enums.all_ports = true;
-  const NbhdGraph seq = build_proved(lcp, graphs, enums);
+  const NbhdGraph seq =
+      build(BuildSource::proved(lcp, graphs), one_thread(enums)).take();
   ASSERT_GT(seq.num_views(), 0);
   ParallelEnumOptions options;
   options.enums = enums;
@@ -300,7 +304,7 @@ TEST(CheckpointTest, ProvedBuilderResumesBitIdentically) {
   ResumableBuildResult res;
   int runs = 0;
   do {
-    res = build_proved_resumable(lcp, graphs, options);
+    res = build(BuildSource::proved(lcp, graphs), options);
     ASSERT_LT(++runs, 100) << "resume loop did not converge";
   } while (!res.complete);
   EXPECT_GT(runs, 1);
@@ -310,14 +314,14 @@ TEST(CheckpointTest, ProvedBuilderResumesBitIdentically) {
 // ---------------------------------------------------------------------------
 // No silent truncation.
 
-TEST(CheckpointTest, PlainBuilderFailsLoudlyOnBudgetTrip) {
+TEST(CheckpointTest, TakeFailsLoudlyOnBudgetTrip) {
   const SpanningBfsLcp lcp;
   const auto graphs = connected_bipartite(3);
   ParallelEnumOptions options;
   options.enums.all_id_orders = true;
   options.budget.max_frames = 1;
   try {
-    build_exhaustive(lcp, graphs, options);
+    build(BuildSource::exhaustive(lcp, graphs), options).take();
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     const std::string msg = e.what();
@@ -336,18 +340,18 @@ TEST(CheckpointTest, ExternalCancelStopsTheBuild) {
   options.enums.all_id_orders = true;
   options.cancel = &token;
   const ResumableBuildResult res =
-      build_exhaustive_resumable(lcp, graphs, options);
+      build(BuildSource::exhaustive(lcp, graphs), options);
   EXPECT_FALSE(res.complete);
   EXPECT_EQ(res.stop_reason, StopReason::kCancelRequested);
   EXPECT_EQ(res.frames_done, 0u);
   EXPECT_EQ(res.nbhd.num_views(), 0);
 }
 
-TEST(CheckpointTest, BuildFromInstancesRejectsBudgetOptions) {
+TEST(CheckpointTest, InstanceSourceRejectsBudgetOptions) {
   const DegreeOneLcp lcp;
   ParallelEnumOptions options;
   options.budget.max_frames = 5;
-  EXPECT_THROW(build_from_instances(lcp.decoder(), {}, 2, options),
+  EXPECT_THROW(build(BuildSource::instances(lcp.decoder(), {}, 2), options),
                CheckError);
 }
 
@@ -364,7 +368,7 @@ ParallelEnumOptions seed_partial_checkpoint(const Lcp& lcp,
   options.checkpoint.every_frames = 2;
   options.budget.max_frames = 3;
   const ResumableBuildResult res =
-      build_exhaustive_resumable(lcp, graphs, options);
+      build(BuildSource::exhaustive(lcp, graphs), options);
   EXPECT_FALSE(res.complete);
   EXPECT_GT(res.frames_done, 0u);
   return options;
@@ -380,7 +384,7 @@ TEST(CheckpointTest, MismatchedManifestIsRejectedWithRepro) {
   manifest["options_hash"] = Json(std::string("fnv:0000000000000000"));
   write_file(mpath, manifest.dump(2) + "\n");
   try {
-    build_exhaustive_resumable(lcp, graphs, options);
+    build(BuildSource::exhaustive(lcp, graphs), options);
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     const std::string msg = e.what();
@@ -398,12 +402,33 @@ TEST(CheckpointTest, DifferentSweepCannotConsumeTheCheckpoint) {
   ParallelEnumOptions options = seed_partial_checkpoint(lcp, graphs, dir);
   options.enums.all_id_orders = false;  // a semantically different sweep
   try {
-    build_exhaustive_resumable(lcp, graphs, options);
+    build(BuildSource::exhaustive(lcp, graphs), options);
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("checkpoint resume rejected"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(CheckpointTest, ResumeUnderAnotherSourceIsRejected) {
+  // The manifest records the source: an exhaustive prefix must not seed a
+  // proved build over the very same frames.
+  const SpanningBfsLcp lcp;
+  const auto graphs = connected_bipartite(3);
+  const std::string dir = fresh_ckpt_dir("other_source");
+  const ParallelEnumOptions options =
+      seed_partial_checkpoint(lcp, graphs, dir);
+  const std::string mpath = (fs::path(dir) / "manifest.json").string();
+  try {
+    build(BuildSource::proved(lcp, graphs), options);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("checkpoint resume rejected"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("build mismatch"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(mpath), std::string::npos) << msg;
   }
 }
 
@@ -416,7 +441,7 @@ TEST(CheckpointTest, TornStateIsRejected) {
   const std::string spath = (fs::path(dir) / "state.json").string();
   write_file(spath, read_file(spath) + "x");
   try {
-    build_exhaustive_resumable(lcp, graphs, options);
+    build(BuildSource::exhaustive(lcp, graphs), options);
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     const std::string msg = e.what();
@@ -433,10 +458,13 @@ TEST(CheckpointTest, ResumeFalseRestartsFromScratch) {
   options.checkpoint.resume = false;
   options.budget = RunBudget{};  // unlimited this time
   const ResumableBuildResult res =
-      build_exhaustive_resumable(lcp, graphs, options);
+      build(BuildSource::exhaustive(lcp, graphs), options);
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.resumed_frames, 0u);
-  expect_identical(build_exhaustive(lcp, graphs, options.enums), res.nbhd);
+  expect_identical(
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(options.enums))
+          .take(),
+      res.nbhd);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,8 +35,9 @@ std::vector<Graph> promise_family(const Lcp& lcp, int max_n) {
 
 TEST(QuantifiedTest, ComponentAnalysisBasics) {
   const RevealingLcp lcp(2);
-  EnumOptions options;
-  const auto nbhd = build_exhaustive(lcp, promise_family(lcp, 3), options);
+  const auto nbhd =
+      build(BuildSource::exhaustive(lcp, promise_family(lcp, 3)), one_thread())
+          .take();
   const auto analysis = analyze_components(nbhd);
   EXPECT_EQ(static_cast<int>(analysis.component_of_view.size()),
             nbhd.num_views());
@@ -48,8 +49,9 @@ TEST(QuantifiedTest, ComponentAnalysisBasics) {
 
 TEST(QuantifiedTest, RevealingLcpHidesNothing) {
   const RevealingLcp lcp(2);
-  EnumOptions options;
-  const auto nbhd = build_exhaustive(lcp, promise_family(lcp, 4), options);
+  const auto nbhd =
+      build(BuildSource::exhaustive(lcp, promise_family(lcp, 4)), one_thread())
+          .take();
   const Graph g = make_path(4);
   Instance inst = Instance::canonical(g);
   inst.labels = *lcp.prove(g, inst.ports, inst.ids);
@@ -76,7 +78,9 @@ TEST(QuantifiedTest, EvenCycleHidesEverywhereOnMatchedPorts) {
   }
   inst.labels = std::move(labels);
 
-  auto nbhd = build_from_instances(lcp.decoder(), {inst}, 2);
+  auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), {inst}, 2), one_thread())
+          .take();
   EXPECT_EQ(hidden_fraction(nbhd, lcp.decoder(), inst), 1.0);
   // The sharp measure: every node's view is self-conflicting (the loop).
   EXPECT_EQ(self_conflicting_fraction(nbhd, lcp.decoder(), inst), 1.0);
@@ -92,7 +96,9 @@ TEST(QuantifiedTest, DegreeOneHidesAtFewNodesNotEverywhere) {
   // distinction between hiding somewhere and hiding everywhere.
   const DegreeOneLcp lcp;
   const auto nbhd =
-      build_from_instances(lcp.decoder(), degree_one_witnesses(4), 2);
+      build(BuildSource::instances(lcp.decoder(), degree_one_witnesses(4), 2),
+            one_thread())
+          .take();
   ASSERT_TRUE(nbhd.odd_cycle().has_value());
 
   const Graph g = make_path(4);
@@ -108,14 +114,18 @@ TEST(QuantifiedTest, ChromaticThresholds) {
   // cycles but 3-colorable), meaning 3-colorings are NOT hidden -- the
   // Section 1.3 contrapositive in numbers.
   const RevealingLcp revealing(2);
-  EnumOptions options;
-  const auto nr = build_exhaustive(revealing, promise_family(revealing, 4),
-                                   options);
+  const auto nr =
+      build(BuildSource::exhaustive(revealing, promise_family(revealing, 4)),
+            one_thread())
+          .take();
   EXPECT_EQ(chromatic_threshold(nr, 5), 2);
 
   const DegreeOneLcp degree_one;
+  const auto witnesses = degree_one_witnesses(4);
   const auto nd =
-      build_from_instances(degree_one.decoder(), degree_one_witnesses(4), 2);
+      build(BuildSource::instances(degree_one.decoder(), witnesses, 2),
+            one_thread())
+          .take();
   const auto threshold = chromatic_threshold(nd, 6);
   ASSERT_TRUE(threshold.has_value());
   EXPECT_GE(*threshold, 3);
@@ -170,8 +180,10 @@ TEST(SpanningBfsTest, NotHiding) {
   // honest-labelings-only at n = 4.
   const SpanningBfsLcp lcp;
   {
-    EnumOptions options;
-    const auto nbhd = build_exhaustive(lcp, promise_family(lcp, 3), options);
+    const auto nbhd =
+        build(BuildSource::exhaustive(lcp, promise_family(lcp, 3)),
+              one_thread())
+            .take();
     EXPECT_TRUE(nbhd.k_colorable(2));
     EXPECT_EQ(chromatic_threshold(nbhd, 4), 2);
   }
@@ -179,7 +191,10 @@ TEST(SpanningBfsTest, NotHiding) {
     EnumOptions options;
     options.all_ports = true;
     options.all_id_orders = true;
-    const auto nbhd = build_proved(lcp, promise_family(lcp, 4), options);
+    const auto nbhd =
+        build(BuildSource::proved(lcp, promise_family(lcp, 4)),
+              one_thread(options))
+            .take();
     EXPECT_TRUE(nbhd.k_colorable(2));
     EXPECT_FALSE(nbhd.odd_cycle().has_value());
   }

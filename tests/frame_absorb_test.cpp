@@ -1,10 +1,10 @@
 // NbhdGraph::absorb_frame against the per-instance reference.
 //
-// The exhaustive builders absorb one frame at a time: each node's view is
+// The exhaustive source absorbs one frame at a time: each node's view is
 // extracted and judged once per labeling of its ball and reused for every
 // labeling of the nodes outside it. The bar is bit-identity with absorbing
 // the same instance stream one instance at a time (NbhdGraph::absorb, the
-// loop of build_from_instances): same views in the same order, same edges,
+// loop of the instance source): same views in the same order, same edges,
 // same provenance, same views_deduped -- for anonymous, port-sensitive and
 // id-reading decoders, every enumeration mode, 1 and 2 threads, one shard
 // per frame folded with merge, and a resumable build stopped mid-frame.
@@ -28,7 +28,7 @@
 namespace shlcp {
 namespace {
 
-/// The reference: build_from_instances' per-instance absorb over the
+/// The reference: the instance source's per-instance absorb over the
 /// for_each_labeled_instance stream, fed one instance at a time instead
 /// of from a materialized list (the larger families hold ~200k
 /// instances).
@@ -78,8 +78,9 @@ NbhdGraph expect_frames_match_instances(const Lcp& lcp,
   NbhdGraph ref = per_instance(lcp, graphs, enums);
   EXPECT_GT(ref.num_views(), 0);
   {
-    SCOPED_TRACE("EnumOptions overload");
-    const NbhdGraph seq = build_exhaustive(lcp, graphs, enums);
+    SCOPED_TRACE("one thread");
+    const NbhdGraph seq =
+        build(BuildSource::exhaustive(lcp, graphs), one_thread(enums)).take();
     expect_identical(ref, seq);
     EXPECT_LE(seq.stats().view_extractions, ref.stats().view_extractions);
   }
@@ -88,7 +89,8 @@ NbhdGraph expect_frames_match_instances(const Lcp& lcp,
     ParallelEnumOptions options;
     options.enums = enums;
     options.num_threads = threads;
-    expect_identical(ref, build_exhaustive(lcp, graphs, options));
+    expect_identical(
+        ref, build(BuildSource::exhaustive(lcp, graphs), options).take());
   }
   {
     SCOPED_TRACE("one shard per frame");
@@ -176,7 +178,8 @@ TEST(FrameAbsorbTest, SweepFamilyExtractsOncePerBallLabeling) {
     ParallelEnumOptions options;
     options.num_threads = threads;
     metrics::reset_values();
-    const NbhdGraph nbhd = build_exhaustive(lcp, graphs, options);
+    const NbhdGraph nbhd =
+        build(BuildSource::exhaustive(lcp, graphs), options).take();
     EXPECT_EQ(nbhd.num_instances_absorbed(), 193'744);
     EXPECT_EQ(nbhd.stats().view_extractions, 72'256u) << threads;
     EXPECT_EQ(metrics::counter("nbhd.build.view_extractions").value(),
@@ -200,7 +203,8 @@ TEST(FrameAbsorbTest, ResumeAfterADeadlineMidFrameMatches) {
   const std::vector<Graph> graphs = promise_graphs(lcp, 5);
   ParallelEnumOptions uninterrupted;
   uninterrupted.num_threads = 1;
-  const NbhdGraph ref = build_exhaustive(lcp, graphs, uninterrupted);
+  const NbhdGraph ref =
+      build(BuildSource::exhaustive(lcp, graphs), uninterrupted).take();
   const std::uint64_t frame_labelings = 65'536;
 
   const std::string dir =
@@ -220,7 +224,7 @@ TEST(FrameAbsorbTest, ResumeAfterADeadlineMidFrameMatches) {
     options.budget.wall_ms = wall_ms;
     metrics::reset_values();
     const ResumableBuildResult stopped =
-        build_exhaustive_resumable(lcp, graphs, options);
+        build(BuildSource::exhaustive(lcp, graphs), options);
     const std::uint64_t visited =
         metrics::counter("lcp.enumerate.instances").value();
     attempts += format(" [%llu ms: %llu labelings, %s]",
@@ -238,7 +242,7 @@ TEST(FrameAbsorbTest, ResumeAfterADeadlineMidFrameMatches) {
 
   options.budget = RunBudget{};
   const ResumableBuildResult resumed =
-      build_exhaustive_resumable(lcp, graphs, options);
+      build(BuildSource::exhaustive(lcp, graphs), options);
   ASSERT_TRUE(resumed.complete);
   expect_identical(ref, resumed.nbhd);
   EXPECT_EQ(resumed.nbhd.stats().view_extractions,

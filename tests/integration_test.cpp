@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cassert>
+
 #include "certify/degree_one.h"
 #include "certify/even_cycle.h"
 #include "certify/revealing.h"
@@ -99,7 +101,6 @@ TEST_F(AllLcpsFixture, CorruptionIsCaughtByEveryLcp) {
 TEST_F(AllLcpsFixture, HidingStatusMatchesTheory) {
   // Revealing: extractor exists. Hiding four: witness odd cycle exists.
   {
-    EnumOptions options;
     std::vector<Graph> graphs;
     for (int n = 2; n <= 4; ++n) {
       for_each_connected_graph(n, [&](const Graph& g) {
@@ -109,25 +110,44 @@ TEST_F(AllLcpsFixture, HidingStatusMatchesTheory) {
         return true;
       });
     }
-    auto nbhd = build_exhaustive(revealing_, graphs, options);
+    auto nbhd =
+        build(BuildSource::exhaustive(revealing_, graphs), one_thread()).take();
     EXPECT_TRUE(
         Extractor::build(revealing_.decoder(), std::move(nbhd), 2).has_value());
   }
-  EXPECT_TRUE(build_from_instances(degree_one_.decoder(),
-                                   degree_one_witnesses(4), 2)
-                  .odd_cycle()
-                  .has_value());
-  EXPECT_TRUE(build_from_instances(even_cycle_.decoder(),
-                                   even_cycle_witnesses(6), 2)
-                  .odd_cycle()
-                  .has_value());
-  EXPECT_TRUE(build_from_instances(shatter_.decoder(), shatter_witnesses(true), 2)
-                  .odd_cycle()
-                  .has_value());
-  EXPECT_TRUE(build_from_instances(watermelon_.decoder(),
-                                   watermelon_witnesses(), 2)
-                  .odd_cycle()
-                  .has_value());
+  const auto has_odd_cycle = [](const Lcp& lcp,
+                                 const std::vector<Instance>& witnesses) {
+    return build(BuildSource::instances(lcp.decoder(), witnesses, 2),
+                 one_thread())
+        .take()
+        .odd_cycle()
+        .has_value();
+  };
+  EXPECT_TRUE(has_odd_cycle(degree_one_, degree_one_witnesses(4)));
+  EXPECT_TRUE(has_odd_cycle(even_cycle_, even_cycle_witnesses(6)));
+  EXPECT_TRUE(has_odd_cycle(shatter_, shatter_witnesses(true)));
+  EXPECT_TRUE(has_odd_cycle(watermelon_, watermelon_witnesses()));
+}
+
+TEST(ReadmeTest, QuickTasteOfTheApiCompilesAndHolds) {
+  // The body of README.md's "Quick taste of the API", verbatim. Its
+  // assert()s vanish under NDEBUG, so the EXPECTs below restate them.
+  shlcp::DegreeOneLcp lcp;                       // Lemma 4.1's scheme
+  auto g = shlcp::make_double_broom(4, 2, 1);    // a min-degree-1 bipartite graph
+  auto inst = shlcp::Instance::canonical(g);
+  inst.labels = *lcp.prove(g, inst.ports, inst.ids);   // honest certificates
+  assert(lcp.decoder().accepts_all(inst));             // 1-round verification
+
+  // Lemma 3.2 in one call: is the coloring extractable?
+  auto nbhd = shlcp::build(shlcp::BuildSource::exhaustive(lcp, {g}),
+                           shlcp::one_thread())
+                  .take();
+  assert(!nbhd.k_colorable(2));                  // odd cycle => hiding
+
+  EXPECT_TRUE(lcp.decoder().accepts_all(inst));
+  EXPECT_FALSE(nbhd.k_colorable(2));
+  EXPECT_EQ(nbhd.num_views(), 46);
+  EXPECT_EQ(nbhd.num_edges(), 73);
 }
 
 TEST_F(AllLcpsFixture, PromiseClassesEscapeTheorem12) {

@@ -64,8 +64,7 @@ TEST(KColTest, Revealing3NeighborhoodGraphIs3Colorable) {
       return true;
     });
   }
-  EnumOptions options;
-  auto nbhd = build_exhaustive(lcp, graphs, options);
+  auto nbhd = build(BuildSource::exhaustive(lcp, graphs), one_thread()).take();
   EXPECT_TRUE(nbhd.k_colorable(3));
   // And the 3-coloring extractor works on every promise instance.
   auto extractor = Extractor::build(lcp.decoder(), std::move(nbhd), 3);
@@ -89,7 +88,9 @@ TEST(KColTest, Section13ContrapositiveConstructive) {
   // K > k side of the Section 1.3 discussion.
   const DegreeOneLcp lcp;
   const auto witnesses = degree_one_witnesses(4);
-  auto nbhd = build_from_instances(lcp.decoder(), witnesses, 2);
+  auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), witnesses, 2), one_thread())
+          .take();
   ASSERT_TRUE(nbhd.odd_cycle().has_value());          // hides 2-colorings
   ASSERT_TRUE(nbhd.k_colorable(3));                   // but not 3-colorings
   auto extractor = Extractor::build(lcp.decoder(), std::move(nbhd), 3);
@@ -131,7 +132,9 @@ TEST(KColTest, EvenCycleLoopHidesEveryK) {
     labels.at(v) = make_even_cycle_certificate(1, 0, 2, 1);
   }
   inst.labels = std::move(labels);
-  auto nbhd = build_from_instances(lcp.decoder(), {inst}, 2);
+  auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), {inst}, 2), one_thread())
+          .take();
   for (int k = 2; k <= 7; ++k) {
     EXPECT_FALSE(nbhd.k_colorable(k)) << "k = " << k;
   }

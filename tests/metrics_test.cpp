@@ -223,15 +223,16 @@ TEST(CounterParityTest, SequentialAndParallelBuildsPublishSameCounters) {
     return out;
   };
 
-  EnumOptions seq_options;
   metrics::reset_values();
-  const auto seq_nbhd = build_exhaustive(lcp, graphs, seq_options);
+  const auto seq_nbhd =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread()).take();
   const auto seq = parity_counters();
 
   ParallelEnumOptions par_options;
   par_options.num_threads = 4;
   metrics::reset_values();
-  const auto par_nbhd = build_exhaustive(lcp, graphs, par_options);
+  const auto par_nbhd =
+      build(BuildSource::exhaustive(lcp, graphs), par_options).take();
   const auto par = parity_counters();
 
   EXPECT_EQ(seq_nbhd.num_views(), par_nbhd.num_views());

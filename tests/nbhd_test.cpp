@@ -50,7 +50,6 @@ TEST(NbhdTest, AbsorbRejectsNoInstances) {
   NbhdGraph nbhd;
   const Instance inst = Instance::canonical(make_cycle(5));
   EXPECT_THROW(nbhd.absorb(lcp.decoder(), inst, 2), CheckError);
-  EXPECT_NO_THROW(nbhd.absorb(lcp.decoder(), inst, 2, /*require_yes=*/false));
 }
 
 TEST(NbhdTest, DedupAcrossInstances) {
@@ -84,8 +83,10 @@ TEST(NbhdTest, RevealingNeighborhoodGraphIs2Colorable) {
   // Lemma 3.2, "not hiding" direction: the revealing LCP's exhaustive
   // V(D, n) over all bipartite graphs on <= 4 nodes is 2-colorable.
   const RevealingLcp lcp(2);
-  EnumOptions options;
-  const auto nbhd = build_exhaustive(lcp, small_bipartite_connected(4), options);
+  const auto nbhd =
+      build(BuildSource::exhaustive(lcp, small_bipartite_connected(4)),
+            one_thread())
+          .take();
   EXPECT_GT(nbhd.num_views(), 10);
   EXPECT_TRUE(nbhd.k_colorable(2));
   EXPECT_FALSE(nbhd.odd_cycle().has_value());
@@ -93,9 +94,8 @@ TEST(NbhdTest, RevealingNeighborhoodGraphIs2Colorable) {
 
 TEST(NbhdTest, ExtractorRecoversColoringEverywhere) {
   const RevealingLcp lcp(2);
-  EnumOptions options;
   const auto graphs = small_bipartite_connected(4);
-  auto nbhd = build_exhaustive(lcp, graphs, options);
+  auto nbhd = build(BuildSource::exhaustive(lcp, graphs), one_thread()).take();
   auto extractor = Extractor::build(lcp.decoder(), std::move(nbhd), 2);
   ASSERT_TRUE(extractor.has_value());
 
@@ -121,7 +121,10 @@ TEST(NbhdTest, ExtractorWorksOnAdversarialAcceptedLabelings) {
   // assignment, not just honest ones: sweep all accepted labelings of P3.
   const RevealingLcp lcp(2);
   EnumOptions options;
-  auto nbhd = build_exhaustive(lcp, small_bipartite_connected(4), options);
+  auto nbhd =
+      build(BuildSource::exhaustive(lcp, small_bipartite_connected(4)),
+            one_thread(options))
+          .take();
   auto extractor = Extractor::build(lcp.decoder(), std::move(nbhd), 2);
   ASSERT_TRUE(extractor.has_value());
 
@@ -147,8 +150,8 @@ TEST(NbhdTest, ExtractorWorksOnAdversarialAcceptedLabelings) {
 
 TEST(NbhdTest, ExtractorUnknownViewReported) {
   const RevealingLcp lcp(2);
-  EnumOptions options;
-  auto nbhd = build_exhaustive(lcp, {make_path(2)}, options);
+  auto nbhd =
+      build(BuildSource::exhaustive(lcp, {make_path(2)}), one_thread()).take();
   auto extractor = Extractor::build(lcp.decoder(), std::move(nbhd), 2);
   ASSERT_TRUE(extractor.has_value());
   // A star's center view was never absorbed.
@@ -164,14 +167,18 @@ TEST(NbhdTest, ExtractorConstructionFailsForHidingLcps) {
   {
     const DegreeOneLcp lcp;
     auto nbhd =
-        build_from_instances(lcp.decoder(), degree_one_witnesses(4), 2);
+        build(BuildSource::instances(lcp.decoder(), degree_one_witnesses(4), 2),
+              one_thread())
+            .take();
     EXPECT_FALSE(Extractor::build(lcp.decoder(), std::move(nbhd), 2)
                      .has_value());
   }
   {
     const EvenCycleLcp lcp;
     auto nbhd =
-        build_from_instances(lcp.decoder(), even_cycle_witnesses(6), 2);
+        build(BuildSource::instances(lcp.decoder(), even_cycle_witnesses(6), 2),
+              one_thread())
+            .take();
     EXPECT_FALSE(Extractor::build(lcp.decoder(), std::move(nbhd), 2)
                      .has_value());
   }
@@ -181,7 +188,10 @@ TEST(NbhdTest, KColoringOfViewsMatchesChromaticNeeds) {
   // For k = 3 the degree-one witness graph becomes colorable (its odd
   // cycles defeat only k = 2)... unless a loop is present. Verify both.
   const DegreeOneLcp lcp;
-  auto nbhd = build_from_instances(lcp.decoder(), degree_one_witnesses(4), 2);
+  auto nbhd =
+      build(BuildSource::instances(lcp.decoder(), degree_one_witnesses(4), 2),
+            one_thread())
+          .take();
   const bool has_loop = [&] {
     for (int i = 0; i < nbhd.num_views(); ++i) {
       if (nbhd.graph().has_edge(i, i)) {
@@ -200,10 +210,11 @@ TEST(NbhdTest, KColoringOfViewsMatchesChromaticNeeds) {
 
 TEST(NbhdTest, BuildProvedIsSubgraphOfExhaustive) {
   const RevealingLcp lcp(2);
-  EnumOptions options;
   const std::vector<Graph> graphs{make_path(3), make_cycle(4)};
-  const auto proved = build_proved(lcp, graphs, options);
-  const auto full = build_exhaustive(lcp, graphs, options);
+  const auto proved =
+      build(BuildSource::proved(lcp, graphs), one_thread()).take();
+  const auto full =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread()).take();
   EXPECT_LE(proved.num_views(), full.num_views());
   // Every proved view appears in the full graph.
   for (int i = 0; i < proved.num_views(); ++i) {

@@ -97,7 +97,8 @@ void expect_row(const Lcp& lcp, bool all_ports, const Row& want) {
   const std::vector<Graph> graphs = promise_graphs(lcp);
   EnumOptions enums;
   enums.all_ports = all_ports;
-  const NbhdGraph nbhd = build_exhaustive(lcp, graphs, enums);
+  const NbhdGraph nbhd =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(enums)).take();
   EXPECT_EQ(graphs.size(), want.graphs);
   EXPECT_EQ(nbhd.num_instances_absorbed(), want.instances);
   EXPECT_EQ(nbhd.num_views(), want.views);

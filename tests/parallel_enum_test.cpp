@@ -471,11 +471,13 @@ TEST(ParallelEnumTest, ExhaustiveSpanningBfsMatchesSequential) {
   const auto graphs = connected_bipartite(3);
   EnumOptions enums;
   enums.all_id_orders = true;
-  const NbhdGraph seq = build_exhaustive(lcp, graphs, enums);
+  const NbhdGraph seq =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(enums)).take();
   ASSERT_GT(seq.num_views(), 0);
   for (const int threads : {1, 2, 4}) {
     const NbhdGraph par =
-        build_exhaustive(lcp, graphs, par_options(enums, threads));
+        build(BuildSource::exhaustive(lcp, graphs), par_options(enums, threads))
+            .take();
     expect_identical(seq, par);
   }
   expect_identical(seq, per_frame_shards(lcp, graphs, enums));
@@ -492,11 +494,13 @@ TEST(ParallelEnumTest, ExhaustiveDegreeOneMatchesSequential) {
   }
   EnumOptions enums;
   enums.all_ports = true;
-  const NbhdGraph seq = build_exhaustive(lcp, graphs, enums);
+  const NbhdGraph seq =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(enums)).take();
   ASSERT_GT(seq.num_views(), 0);
   for (const int threads : {1, 2, 4}) {
     const NbhdGraph par =
-        build_exhaustive(lcp, graphs, par_options(enums, threads));
+        build(BuildSource::exhaustive(lcp, graphs), par_options(enums, threads))
+            .take();
     expect_identical(seq, par);
   }
   expect_identical(seq, per_frame_shards(lcp, graphs, enums));
@@ -515,7 +519,8 @@ TEST(ParallelEnumTest, AdaptivePlanMatchesSequential) {
   }
   EnumOptions enums;
   enums.all_ports = true;
-  const NbhdGraph seq = build_exhaustive(lcp, graphs, enums);
+  const NbhdGraph seq =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(enums)).take();
   ASSERT_GT(seq.num_views(), 0);
   const auto frames = enumerate_frames(graphs, enums);
   const auto costs = frame_costs(lcp, graphs, frames);
@@ -523,7 +528,8 @@ TEST(ParallelEnumTest, AdaptivePlanMatchesSequential) {
     // The plan has several chunks, so the build merges shards.
     ASSERT_GT(adaptive_plan(costs, threads).num_chunks(), 1u);
     const NbhdGraph par =
-        build_exhaustive(lcp, graphs, par_options(enums, threads));
+        build(BuildSource::exhaustive(lcp, graphs), par_options(enums, threads))
+            .take();
     expect_identical(seq, par);
   }
 }
@@ -538,11 +544,11 @@ TEST(ParallelEnumTest, FrameCostsMatchLabelingProducts) {
   // Cross-check each cost against the actual labeling count of its frame.
   for (std::size_t i = 0; i < frames.size(); ++i) {
     std::uint64_t count = 0;
-    for_each_labeled_instance_in_frame(lcp, graphs, frames[i], enums,
-                                       [&](const Instance&) {
-                                         ++count;
-                                         return true;
-                                       });
+    for_each_frame_labeling(frame_labelings(lcp, graphs, frames[i], enums),
+                            [&](const std::vector<int>&) {
+                              ++count;
+                              return true;
+                            });
     EXPECT_EQ(costs[i], count) << "frame " << i;
   }
 }
@@ -562,7 +568,8 @@ TEST(ParallelEnumTest, FingerprintCollisionsDedupExactly) {
   }
   EnumOptions enums;
   enums.all_ports = true;
-  const NbhdGraph nbhd = build_exhaustive(lcp, graphs, enums);
+  const NbhdGraph nbhd =
+      build(BuildSource::exhaustive(lcp, graphs), one_thread(enums)).take();
   ASSERT_GT(nbhd.num_views(), 1);
   EXPECT_LT(nbhd.num_fingerprint_chains(),
             static_cast<std::uint64_t>(nbhd.num_views()))
@@ -582,11 +589,13 @@ TEST(ParallelEnumTest, ProvedEvenCycleMatchesSequential) {
   const std::vector<Graph> graphs{make_cycle(4), make_cycle(6)};
   EnumOptions enums;
   enums.all_ports = true;
-  const NbhdGraph seq = build_proved(lcp, graphs, enums);
+  const NbhdGraph seq =
+      build(BuildSource::proved(lcp, graphs), one_thread(enums)).take();
   ASSERT_GT(seq.num_views(), 0);
   for (const int threads : {1, 2, 4}) {
     const NbhdGraph par =
-        build_proved(lcp, graphs, par_options(enums, threads));
+        build(BuildSource::proved(lcp, graphs), par_options(enums, threads))
+            .take();
     expect_identical(seq, par);
   }
   expect_identical(seq, per_instance_shards(lcp.decoder(),
@@ -595,7 +604,7 @@ TEST(ParallelEnumTest, ProvedEvenCycleMatchesSequential) {
 }
 
 TEST(ParallelEnumTest, WitnessFamiliesMatchSequential) {
-  // Explicit witness lists through build_from_instances; both families
+  // Explicit witness lists through the instance source; both families
   // contain the paper's odd cycles, so the hiding verdict is exercised.
   struct Family {
     const Decoder& decoder;
@@ -607,12 +616,16 @@ TEST(ParallelEnumTest, WitnessFamiliesMatchSequential) {
        {Family{degree_one.decoder(), degree_one_witnesses(4)},
         Family{even_cycle.decoder(), even_cycle_witnesses(6)}}) {
     const NbhdGraph seq =
-        build_from_instances(family.decoder, family.instances, 2);
+        build(BuildSource::instances(family.decoder, family.instances, 2),
+              one_thread())
+            .take();
     ASSERT_TRUE(seq.odd_cycle().has_value());
     for (const int threads : {1, 2, 4}) {
       EnumOptions enums;
-      const NbhdGraph par = build_from_instances(
-          family.decoder, family.instances, 2, par_options(enums, threads));
+      const NbhdGraph par =
+          build(BuildSource::instances(family.decoder, family.instances, 2),
+                par_options(enums, threads))
+              .take();
       expect_identical(seq, par);
     }
     expect_identical(
@@ -621,12 +634,12 @@ TEST(ParallelEnumTest, WitnessFamiliesMatchSequential) {
 }
 
 TEST(ParallelEnumTest, PlainAndResumableBuildsAreByteIdentical) {
-  // A plain overload is its resumable call plus a completeness check, so
-  // its graph must serialize to the very bytes of the resumable result --
+  // take() is the build's result plus a completeness check, so the graph
+  // it returns must serialize to the very bytes of the result's nbhd --
   // including through the segmented pool path, which an unreachable
-  // instance budget forces even at one thread. Instance lists have no
-  // resumable builder; their multithreaded overload must match the
-  // sequential one byte for byte instead.
+  // instance budget forces even at one thread. The instance source takes
+  // no budget; its multithreaded build must match the sequential one
+  // byte for byte instead.
   const DegreeOneLcp degree_one;
   const EvenCycleLcp even_cycle;
   std::vector<Graph> deg1_graphs;
@@ -638,45 +651,49 @@ TEST(ParallelEnumTest, PlainAndResumableBuildsAreByteIdentical) {
   const std::vector<Graph> cycles{make_cycle(4), make_cycle(6)};
   EnumOptions enums;
   enums.all_ports = true;
-  const std::string exhaustive =
-      state_bytes(build_exhaustive(degree_one, deg1_graphs, enums));
-  const std::string proved =
-      state_bytes(build_proved(even_cycle, cycles, enums));
   const std::vector<Instance> witnesses = even_cycle_witnesses(6);
+  const BuildSource exhaustive_source =
+      BuildSource::exhaustive(degree_one, deg1_graphs);
+  const BuildSource proved_source = BuildSource::proved(even_cycle, cycles);
+  const BuildSource instance_source =
+      BuildSource::instances(even_cycle.decoder(), witnesses, 2);
+  const std::string exhaustive =
+      state_bytes(build(exhaustive_source, one_thread(enums)).take());
+  const std::string proved =
+      state_bytes(build(proved_source, one_thread(enums)).take());
   const std::string instances =
-      state_bytes(build_from_instances(even_cycle.decoder(), witnesses, 2));
+      state_bytes(build(instance_source, one_thread()).take());
   for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(format("%d threads", threads));
     const ParallelEnumOptions plain = par_options(enums, threads);
     ParallelEnumOptions budgeted = plain;
     budgeted.budget.max_instances = ~std::uint64_t{0};
     EXPECT_EQ(exhaustive,
-              state_bytes(build_exhaustive(degree_one, deg1_graphs, plain)));
+              state_bytes(build(exhaustive_source, plain).take()));
     for (const ParallelEnumOptions& options : {plain, budgeted}) {
-      EXPECT_EQ(exhaustive, state_bytes(build_exhaustive_resumable(
-                                            degree_one, deg1_graphs, options)
-                                            .nbhd));
-      EXPECT_EQ(proved, state_bytes(build_proved_resumable(even_cycle, cycles,
-                                                           options)
-                                        .nbhd));
+      EXPECT_EQ(exhaustive,
+                state_bytes(build(exhaustive_source, options).nbhd));
+      EXPECT_EQ(proved, state_bytes(build(proved_source, options).nbhd));
     }
-    EXPECT_EQ(proved, state_bytes(build_proved(even_cycle, cycles, plain)));
-    EXPECT_EQ(instances, state_bytes(build_from_instances(
-                             even_cycle.decoder(), witnesses, 2, plain)));
+    EXPECT_EQ(proved, state_bytes(build(proved_source, plain).take()));
+    EXPECT_EQ(instances,
+              state_bytes(build(instance_source, plain).take()));
   }
 }
 
-TEST(ParallelEnumTest, SearchHidingWitnessFindsThePaperCycles) {
+TEST(ParallelEnumTest, WitnessBuildFindsThePaperCycles) {
   const EvenCycleLcp lcp;
+  const std::vector<Instance> witnesses = even_cycle_witnesses(6);
   for (const int threads : {1, 2, 4}) {
     ParallelEnumOptions options;
     options.num_threads = threads;
-    const auto result = search_hiding_witness(
-        lcp.decoder(), even_cycle_witnesses(6), 2, options);
-    EXPECT_TRUE(result.hiding());
-    ASSERT_TRUE(result.odd_cycle.has_value());
-    EXPECT_EQ(result.odd_cycle->front(), result.odd_cycle->back());
-    EXPECT_EQ(result.odd_cycle->size() % 2, 0u);  // odd edge count
+    const auto odd_cycle =
+        build(BuildSource::instances(lcp.decoder(), witnesses, 2), options)
+            .take()
+            .odd_cycle();
+    ASSERT_TRUE(odd_cycle.has_value());
+    EXPECT_EQ(odd_cycle->front(), odd_cycle->back());
+    EXPECT_EQ(odd_cycle->size() % 2, 0u);  // odd edge count
   }
 }
 
@@ -749,17 +766,12 @@ TEST(ParallelEnumTest, LabelingBoundErrorNamesTheFrame) {
     EXPECT_NE(msg.find("ports="), std::string::npos) << msg;
     stream_msg = msg;
   }
-  // Both build_exhaustive overloads describe the frame with the same
-  // helper, so they raise the very same error.
-  ParallelEnumOptions parallel;
-  parallel.enums = options;
-  parallel.num_threads = 2;
-  const std::vector<std::function<void()>> builds{
-      [&] { build_exhaustive(lcp, graphs, options); },
-      [&] { build_exhaustive(lcp, graphs, parallel); }};
-  for (const auto& build : builds) {
+  // The exhaustive build describes the frame with the same helper at
+  // every thread count, so it raises the very same error.
+  for (const int threads : {1, 2}) {
     try {
-      build();
+      build(BuildSource::exhaustive(lcp, graphs), par_options(options, threads))
+          .take();
       FAIL() << "expected CheckError";
     } catch (const CheckError& e) {
       EXPECT_EQ(std::string(e.what()), stream_msg);

@@ -194,15 +194,15 @@ TEST(ServiceEndpoints, SearchWitnessMatchesDirectSearch) {
 
   DegreeOneLcp lcp;
   const std::vector<Instance> instances = degree_one_witnesses(4);
-  ParallelEnumOptions options;
-  options.num_threads = 1;
-  const WitnessSearchResult direct =
-      search_hiding_witness(lcp.decoder(), instances, 2, options);
-  EXPECT_EQ(result.at("hiding").as_bool(), direct.hiding());
+  const NbhdGraph direct =
+      build(BuildSource::instances(lcp.decoder(), instances, 2), one_thread())
+          .take();
+  const std::optional<std::vector<int>> cycle = direct.odd_cycle();
+  EXPECT_EQ(result.at("hiding").as_bool(), cycle.has_value());
   EXPECT_EQ(result.at("num_views").as_uint(),
-            static_cast<std::uint64_t>(direct.nbhd.num_views()));
-  if (direct.odd_cycle) {
-    EXPECT_EQ(result.at("odd_cycle").size(), direct.odd_cycle->size());
+            static_cast<std::uint64_t>(direct.num_views()));
+  if (cycle) {
+    EXPECT_EQ(result.at("odd_cycle").size(), cycle->size());
   } else {
     EXPECT_TRUE(result.at("odd_cycle").is_null());
   }
@@ -219,8 +219,8 @@ TEST(ServiceEndpoints, BuildNbhdMatchesDirectBuild) {
       ok_result(service.handle(make_request(7, "build_nbhd", params)));
 
   DegreeOneLcp lcp;
-  EnumOptions enums;
-  const NbhdGraph direct = build_proved(lcp, {make_path(4)}, enums);
+  const NbhdGraph direct =
+      build(BuildSource::proved(lcp, {make_path(4)}), one_thread()).take();
   EXPECT_EQ(result.at("num_views").as_uint(),
             static_cast<std::uint64_t>(direct.num_views()));
   EXPECT_EQ(result.at("num_edges").as_uint(),
