@@ -50,24 +50,6 @@ void publish_audit_tallies(const AuditReport& report) {
       .add(report.attributed_rejections);
 }
 
-/// Polls an optional cancel token; on a trip, marks `report` as a
-/// partial result (explicit budget_exhausted verdict + counters/trace)
-/// and returns true so the caller winds down its sweep loop.
-bool audit_cancelled(const CancelToken* cancel, AuditReport& report) {
-  if (cancel == nullptr || !cancel->stop_requested()) {
-    return false;
-  }
-  if (!report.budget_exhausted) {
-    report.budget_exhausted = true;
-    report.stop_reason = to_string(cancel->reason());
-    metrics::counter("audit.cancelled").inc();
-    trace::event("audit.cancelled",
-                 {{"reason", report.stop_reason},
-                  {"runs", report.runs}});
-  }
-  return true;
-}
-
 }  // namespace
 
 void AuditReport::merge(const AuditReport& other) {
@@ -77,10 +59,6 @@ void AuditReport::merge(const AuditReport& other) {
   soundness_runs += other.soundness_runs;
   degraded_verdicts += other.degraded_verdicts;
   attributed_rejections += other.attributed_rejections;
-  if (other.budget_exhausted && !budget_exhausted) {
-    budget_exhausted = true;
-    stop_reason = other.stop_reason;
-  }
   findings.insert(findings.end(), other.findings.begin(),
                   other.findings.end());
 }
@@ -88,17 +66,13 @@ void AuditReport::merge(const AuditReport& other) {
 std::string AuditReport::summary() const {
   return format(
       "%s: %llu runs (%llu completeness, %llu soundness), %llu degraded "
-      "verdicts, %llu attributed rejections, %d finding(s)%s",
+      "verdicts, %llu attributed rejections, %d finding(s)",
       ok ? "OK" : "FAIL", static_cast<unsigned long long>(runs),
       static_cast<unsigned long long>(completeness_runs),
       static_cast<unsigned long long>(soundness_runs),
       static_cast<unsigned long long>(degraded_verdicts),
       static_cast<unsigned long long>(attributed_rejections),
-      static_cast<int>(findings.size()),
-      budget_exhausted
-          ? format(" [PARTIAL: stopped early, reason=%s]", stop_reason.c_str())
-                .c_str()
-          : "");
+      static_cast<int>(findings.size()));
 }
 
 AdversarialSampler::AdversarialSampler(const Lcp& lcp, const Instance& base)
@@ -162,7 +136,7 @@ FaultyRunResult replay_adversarial(const Lcp& lcp, const Instance& inst,
 
 AuditReport audit_completeness_under_faults(
     const Lcp& lcp, const NamedInstance& yes,
-    const std::vector<FaultPlan>& plans, const CancelToken* cancel) {
+    const std::vector<FaultPlan>& plans) {
   AuditReport report;
   trace::Span span("audit.completeness");
   span.note("lcp", lcp.name());
@@ -186,9 +160,6 @@ AuditReport audit_completeness_under_faults(
     honest_views.push_back(labeled.view_of(v, r, false));
   }
   for (const FaultPlan& plan : plans) {
-    if (audit_cancelled(cancel, report)) {
-      break;
-    }
     const FaultyRunResult res =
         run_decoder_distributed_faulty(lcp.decoder(), labeled, plan);
     report.runs += 1;
@@ -252,13 +223,7 @@ AuditReport audit_soundness_under_faults(const Lcp& lcp,
       mix64(options.seed ^ fnv1a64(no.name) ^ fnv1a64(lcp.name()));
   for (std::size_t p = 0; p < plans.size(); ++p) {
     const FaultPlan& plan = plans[p];
-    if (audit_cancelled(options.cancel, report)) {
-      break;
-    }
     for (int s = 0; s < options.adversarial_labelings; ++s) {
-      if (audit_cancelled(options.cancel, report)) {
-        break;
-      }
       const std::uint64_t labeling_seed =
           mix64(base ^ (static_cast<std::uint64_t>(p) << 32) ^
                 static_cast<std::uint64_t>(s));
@@ -316,18 +281,11 @@ AuditReport audit_sweep(const Lcp& lcp,
                         const AuditOptions& options) {
   AuditReport report;
   for (const NamedInstance& yes : yes_instances) {
-    if (audit_cancelled(options.cancel, report)) {
-      return report;
-    }
     const auto plans = FaultPlan::standard_family(
         mix64(options.seed ^ fnv1a64(yes.name)), yes.inst.num_nodes());
-    report.merge(
-        audit_completeness_under_faults(lcp, yes, plans, options.cancel));
+    report.merge(audit_completeness_under_faults(lcp, yes, plans));
   }
   for (const NamedInstance& no : no_instances) {
-    if (audit_cancelled(options.cancel, report)) {
-      return report;
-    }
     const auto plans = FaultPlan::standard_family(
         mix64(options.seed ^ fnv1a64(no.name)), no.inst.num_nodes());
     report.merge(audit_soundness_under_faults(lcp, no, plans, options));

@@ -24,7 +24,8 @@
 // Every failure carries a single-line repro string (instance name +
 // labeling seed + fault-plan descriptor) that reconstructs the exact
 // run; examples/fault_audit.cpp replays such strings from the command
-// line.
+// line. An audit has no early stop: every report covers every run its
+// sweep plans, so `ok` is never a claim about a truncated sweep.
 
 #pragma once
 
@@ -57,11 +58,6 @@ struct AuditOptions {
   std::uint64_t seed = 0xA0D17;
   /// Adversarial labelings sampled per (no-instance, fault plan).
   int adversarial_labelings = 48;
-  /// Optional cooperative stop flag (not owned; must outlive the audit).
-  /// A tripped token makes the audit return its partial results with
-  /// budget_exhausted set -- invariants checked so far stay valid, and
-  /// the early exit is explicit, never a silently shortened sweep.
-  const CancelToken* cancel = nullptr;
 };
 
 struct AuditReport {
@@ -74,17 +70,9 @@ struct AuditReport {
   std::uint64_t degraded_verdicts = 0;
   /// Completeness rejections under faults attributed to a named fault.
   std::uint64_t attributed_rejections = 0;
-  /// True when the audit stopped early on a tripped CancelToken: the
-  /// counters and findings cover only the runs performed. `ok` still
-  /// reflects those runs -- a partial audit is a weaker claim, which is
-  /// why the truncation is surfaced as its own field.
-  bool budget_exhausted = false;
-  /// StopReason name of the early exit ("none" when the sweep finished).
-  std::string stop_reason = "none";
   std::vector<AuditFinding> findings;
 
-  /// AND of ok, sums of counters, findings concatenated; OR of
-  /// budget_exhausted (first non-"none" stop_reason wins).
+  /// AND of ok, sums of counters, findings concatenated.
   void merge(const AuditReport& other);
 
   /// One-line human summary.
@@ -131,7 +119,7 @@ FaultyRunResult replay_adversarial(const Lcp& lcp, const Instance& inst,
 /// no degraded node may accept.
 AuditReport audit_completeness_under_faults(
     const Lcp& lcp, const NamedInstance& yes,
-    const std::vector<FaultPlan>& plans, const CancelToken* cancel = nullptr);
+    const std::vector<FaultPlan>& plans);
 
 /// Invariant 2 on a no-instance (non-k-colorable graph): adversarial
 /// labelings executed under every plan. Any globally accepted run is a

@@ -59,7 +59,7 @@ struct CheckpointOptions {
 };
 
 /// Options for the multithreaded sweep: the sequential dimension toggles
-/// plus worker-pool shape, resource budgets, and checkpointing. Used by
+/// plus worker-pool shape, the build's stops, and checkpointing. Used by
 /// build() in nbhd/aviews.h.
 struct ParallelEnumOptions {
   /// Dimension toggles, shared with the sequential stream.
@@ -69,21 +69,14 @@ struct ParallelEnumOptions {
   /// plan (frame_costs + adaptive_plan in util/parallel.h): cheap frames
   /// batch into coarse chunks, dense frames get chunks of their own.
   int num_threads = 0;
-  /// Per-build resource caps (util/budget.h). Default: unlimited. A
-  /// build that trips one returns its completed prefix, marked
-  /// incomplete; ResumableBuildResult::take() fails loudly on it rather
-  /// than return a silently truncated graph.
+  /// Per-build stops (util/budget.h): a wall-clock deadline, a frame
+  /// budget and SIGINT arming. Default: none. A build that trips one
+  /// returns its completed prefix, marked incomplete;
+  /// ResumableBuildResult::take() fails loudly on it rather than return
+  /// a silently truncated graph.
   RunBudget budget;
   /// Frame-granular checkpoint/resume. Default: disabled.
   CheckpointOptions checkpoint;
-  /// Optional external stop flag (not owned; must outlive the build).
-  /// Shared with the budget enforcement: budget trips request a stop on
-  /// this token when provided.
-  CancelToken* cancel = nullptr;
-  /// Watchdog for wedged workers: when > 0, a run whose progress
-  /// counter stalls for this long is cancelled with StopReason::kStall
-  /// (util/parallel.h). 0 disables the watchdog.
-  std::uint64_t stall_timeout_ms = 0;
 };
 
 /// The options of a sequential build over `enums`: one worker thread and

@@ -29,11 +29,10 @@ void finish_build(const NbhdGraph& nbhd, trace::Span& span) {
   span.note("absorb_ns", nbhd.stats().absorb_ns);
 }
 
-/// Whether anything can stop a sweep before its last item: a budget, a
-/// checkpoint, an external token or a stall watchdog.
+/// Whether anything can stop a sweep before its last item: a budget
+/// (deadline, frame cap or armed SIGINT) or a checkpoint.
 bool interruptible(const ParallelEnumOptions& options) {
-  return !options.budget.unlimited() || options.checkpoint.enabled() ||
-         options.cancel != nullptr || options.stall_timeout_ms != 0;
+  return !options.budget.unlimited() || options.checkpoint.enabled();
 }
 
 /// One sweep of the engine: `num_items` items (frames, or the instances
@@ -50,7 +49,7 @@ struct Sweep {
   /// match it field by field before its state is trusted). Null for an
   /// instance list, whose builder rejects checkpoint options up front.
   std::function<CheckpointManifest()> manifest;
-  /// Absorbs item i into `shard`, reporting progress to `tracker`.
+  /// Absorbs item i into `shard`, polling `tracker` at its safe points.
   /// Returns false iff a hard stop aborted the item midway (the
   /// enclosing chunk is then discarded from the completed prefix).
   std::function<bool(std::size_t i, NbhdGraph& shard, BudgetTracker& tracker)>
@@ -129,9 +128,7 @@ ResumableBuildResult run_resumable(const Sweep& sweep,
 
   // The budget clock starts here, after the manifest's one-off setup
   // (checkpoint_git_rev runs a subprocess on first use).
-  CancelToken local_token;
-  CancelToken& token =
-      options.cancel != nullptr ? *options.cancel : local_token;
+  CancelToken token;
   BudgetTracker tracker(options.budget, token);
 
   trace::Span span("nbhd.build");
@@ -220,9 +217,6 @@ ResumableBuildResult run_resumable(const Sweep& sweep,
                             seg_cost + static_cast<std::ptrdiff_t>(seg_items)),
         threads);
     std::vector<NbhdGraph> shards(plan.num_chunks());
-    ParallelRunControl ctrl;
-    ctrl.cancel = &token;
-    ctrl.stall_timeout_ms = options.stall_timeout_ms;
     const ParallelRunResult run = pool.run_plan(
         plan,
         [&](std::size_t chunk_index, std::size_t begin, std::size_t end) {
@@ -237,14 +231,12 @@ ResumableBuildResult run_resumable(const Sweep& sweep,
           trace::Span shard_span("nbhd.build.shard");
           shard_span.note("chunk", static_cast<std::uint64_t>(chunk_index));
           shard_span.note("items", static_cast<std::uint64_t>(end - begin));
-          tracker.add_frames(end - begin);
           NbhdGraph& shard = shards[chunk_index];
           for (std::size_t i = begin; i < end; ++i) {
             if (i != begin) {
-              pool.heartbeat();
-              // Hard stops (deadline, signal, memory, stall, external
-              // cancel) abort between frames; soft work-count budgets
-              // let the started chunk finish so progress is guaranteed.
+              // Hard stops (deadline, signal) abort between frames; the
+              // soft frame budget lets the started chunk finish so
+              // progress is guaranteed.
               if (tracker.should_stop() && is_hard_stop(token.reason())) {
                 return false;
               }
@@ -256,7 +248,7 @@ ResumableBuildResult run_resumable(const Sweep& sweep,
           shard_hist.record(shard.stats().absorb_ns);
           return true;
         },
-        ctrl);
+        &token);
     const std::size_t done_chunks = run.completed_prefix_chunks;
     // Every early stop names its reason on the token before the chunk
     // body returns false; a stopped run without one lost a chunk.
@@ -369,9 +361,9 @@ ResumableBuildResult build(const BuildSource& source,
   Sweep sweep;
   if (source.kind_ == BuildSource::Kind::kInstances) {
     SHLCP_CHECK_MSG(!interruptible(options),
-                    "build: the instance source does not support budgets, "
-                    "cancellation, watchdogs or checkpointing; use a frame "
-                    "source for interruptible sweeps");
+                    "build: the instance source does not support budgets "
+                    "or checkpointing; use a frame source for interruptible "
+                    "sweeps");
     sweep.kind = "instances";
     sweep.num_items = source.instances_->size();
     sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker&) {
@@ -399,18 +391,16 @@ ResumableBuildResult build(const BuildSource& source,
             return !tracker.should_stop() ||
                    !is_hard_stop(tracker.token().reason());
           });
-      tracker.add_instances(seen);
       return seen == labelings.num_labelings;
     };
   } else {
     // Proved builds do one prove() per frame -- near-uniform work, so no
     // cost model: the plans cut evenly-sized chunks.
     sweep.kind = "proved";
-    sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker& tracker) {
+    sweep.body = [&](std::size_t i, NbhdGraph& shard, BudgetTracker&) {
       const auto inst = proved_instance_in_frame(lcp, yes_graphs, frames[i]);
       if (inst.has_value()) {
         shard.absorb(lcp.decoder(), *inst, lcp.k());
-        tracker.add_instances(1);
       }
       return true;
     };

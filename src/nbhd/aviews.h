@@ -13,9 +13,9 @@
 //  - BuildSource::instances absorbs an explicit witness list -- used to
 //    replay the paper's figures (see nbhd/witness.h).
 //
-// Every source runs on one engine. With one thread and no budget, token,
-// watchdog or checkpoint, it absorbs every frame (or instance) straight
-// into the result. Otherwise it cuts the sweep into contiguous chunks of
+// Every source runs on one engine. With one thread and no budget or
+// checkpoint, it absorbs every frame (or instance) straight into the
+// result. Otherwise it cuts the sweep into contiguous chunks of
 // (graph, ports, ids) frames (or instances) by a deterministic,
 // cost-adaptive plan -- cheap frames batch into coarse chunks, labeling-
 // dense frames get chunks of their own -- and runs them on a
@@ -26,11 +26,11 @@
 // chunk boundaries or steal timing; tests/parallel_enum_test.cpp asserts
 // it.
 //
-// Interrupt safety: a frame sweep runs under a RunBudget / CancelToken
-// and (optionally) frame-granular checkpointing (nbhd/checkpoint.h). An
-// early exit -- budget trip, SIGINT, external cancellation, stall --
-// returns the graph built from the completed frame prefix plus an
-// explicit StopReason; with a checkpoint directory configured the prefix
+// Interrupt safety: a frame sweep runs under a RunBudget and
+// (optionally) frame-granular checkpointing (nbhd/checkpoint.h). An
+// early exit -- a passed deadline, the frame budget, SIGINT -- returns
+// the graph built from the completed frame prefix plus an explicit
+// StopReason; with a checkpoint directory configured the prefix
 // is persisted and a later call resumes from it, producing a final graph
 // bit-identical to an uninterrupted build (tests/checkpoint_test.cpp).
 // The manifest records the source, and resuming under another source is
@@ -47,7 +47,7 @@
 
 namespace shlcp {
 
-/// Result of a build. A budget, token, watchdog or checkpoint can stop a
+/// Result of a build. A budget (deadline, frame cap, SIGINT) can stop a
 /// frame sweep early; `complete` says whether it ran to the end.
 struct ResumableBuildResult {
   /// The graph built from frames [0, frames_done). Equal to the full
@@ -88,8 +88,7 @@ class BuildSource {
   static BuildSource proved(const Lcp& lcp, const std::vector<Graph>& graphs);
   /// The subgraph of V(D, n) generated by explicit labeled instances,
   /// each of whose graphs must be k-colorable. Ignores options.enums;
-  /// budgets, tokens, watchdogs and checkpoints are a CheckError (witness
-  /// lists are small).
+  /// budgets and checkpoints are a CheckError (witness lists are small).
   static BuildSource instances(const Decoder& decoder,
                                const std::vector<Instance>& instances, int k);
 

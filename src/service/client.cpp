@@ -226,7 +226,7 @@ Client::Attempt Client::attempt_once(const std::string& body,
           return Attempt::kRetriable;
         }
         std::string dumped = resp.at("result").dump();
-        if (options_.verify_digest && resp.contains("digest")) {
+        if (resp.contains("digest")) {
           const Json& digest = resp.at("digest");
           if (!digest.is_string() || digest.as_string() != fnv1a_hex(dumped)) {
             // The result bytes do not match the server's own digest:
@@ -334,10 +334,7 @@ CallResult Client::call(const std::string& op, const Json& params,
 
   // The integrity digest commits to the canonical payload once; every
   // attempt re-sends the same commitment (the params do not change).
-  std::string check;
-  if (options_.attach_check) {
-    check = fnv1a_hex(artifact_key(op, params));
-  }
+  const std::string check = fnv1a_hex(artifact_key(op, params));
 
   const int max_attempts = std::max(options_.retry.max_attempts, 1);
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -352,9 +349,7 @@ CallResult Client::call(const std::string& op, const Json& params,
     if (deadline_ms > 0) {
       req["deadline_ms"] = deadline_ms;
     }
-    if (!check.empty()) {
-      req["check"] = check;
-    }
+    req["check"] = check;
 
     stats_.attempts += 1;
     if (attempt > 1) {

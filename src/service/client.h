@@ -70,10 +70,6 @@ struct ClientOptions {
   /// transparent).
   ChaosPlan chaos;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Attach the "check" integrity digest to every request.
-  bool attach_check = true;
-  /// Verify the "digest" member of ok responses (mismatch = retry).
-  bool verify_digest = true;
 };
 
 /// What one call() observed, summed across its attempts.

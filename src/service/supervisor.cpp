@@ -23,6 +23,17 @@ namespace shlcp::svc {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// Per-probe timeout; a probe that exceeds it counts toward wedge
+/// detection.
+constexpr std::uint64_t kProbeTimeoutMs = 1'000;
+/// Consecutive probe timeouts before a live backend is declared wedged
+/// and SIGKILLed into the ordinary restart path.
+constexpr int kWedgeProbeTimeouts = 3;
+
+}  // namespace
+
 // ---------------------------------------------------------------------
 // CrashLoopBreaker.
 
@@ -177,7 +188,7 @@ bool Supervisor::spawn_child(Child& c) {
               options_.backend_args.end());
   if (!c.proc.spawn_ready(std::move(args), c.port_file,
                           ChildStdio{c.log_path}, options_.spawn_wait_ms,
-                          options_.probe_timeout_ms)) {
+                          kProbeTimeoutMs)) {
     return false;
   }
   c.probe_timeouts_in_a_row = 0;
@@ -256,7 +267,7 @@ void Supervisor::poll_once(std::uint64_t now) {
       if (now - c.last_probe_ms >= options_.probe_interval_ms) {
         c.last_probe_ms = now;
         const CallResult res =
-            probe_health("unix:" + c.socket_path, options_.probe_timeout_ms);
+            probe_health("unix:" + c.socket_path, kProbeTimeoutMs);
         if (res.ok) {
           c.probe_timeouts_in_a_row = 0;
         } else if (res.fail_kind == CallResult::FailKind::kTimeout) {
@@ -264,7 +275,7 @@ void Supervisor::poll_once(std::uint64_t now) {
           // Connection-refused is NOT counted here -- that means the
           // process is mid-death and the next tick reaps it.
           c.probe_timeouts_in_a_row += 1;
-          if (c.probe_timeouts_in_a_row >= options_.wedge_probe_timeouts) {
+          if (c.probe_timeouts_in_a_row >= kWedgeProbeTimeouts) {
             c.proc.signal(SIGKILL);  // reaped as a crash next tick
             c.wedge_kills += 1;
             c.probe_timeouts_in_a_row = 0;

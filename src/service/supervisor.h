@@ -36,8 +36,8 @@
 // crashed one, but waitpid cannot see it. The monitor's periodic
 // `health` probes distinguish connection-refused (process gone;
 // waitpid will reap it) from timeout (process wedged) via
-// CallResult::fail_kind; wedge_probe_timeouts consecutive timeouts get
-// the process SIGKILLed, which turns the wedge into an ordinary crash
+// CallResult::fail_kind; three consecutive one-second probe timeouts
+// get the process SIGKILLed, which turns the wedge into an ordinary crash
 // the restart path already handles.
 //
 // Router integration is push-based: attach_router() lets the
@@ -143,12 +143,6 @@ struct SupervisorOptions {
   std::uint64_t spawn_wait_ms = 10'000;
   /// Monitor cadence: how often each live backend is health-probed.
   std::uint64_t probe_interval_ms = 500;
-  /// Per-probe timeout; a probe that exceeds it counts toward wedge
-  /// detection.
-  std::uint64_t probe_timeout_ms = 1'000;
-  /// Consecutive probe timeouts before a live backend is declared
-  /// wedged and SIGKILLed into the ordinary restart path.
-  int wedge_probe_timeouts = 3;
 };
 
 /// Snapshot of one supervised backend (Supervisor::stats).

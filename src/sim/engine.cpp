@@ -6,7 +6,6 @@
 
 #include "sim/gather.h"
 #include "util/check.h"
-#include "util/format.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -191,19 +190,6 @@ void SyncEngine::run(int rounds) {
   SHLCP_CHECK(rounds >= 0);
   const SimStats before = stats_;
   for (int round = 0; round < rounds; ++round) {
-    if (cancel_ != nullptr && cancel_->stop_requested()) {
-      metrics::counter("sim.cancelled").inc();
-      trace::event("sim.cancelled",
-                   {{"reason", Json(std::string(to_string(cancel_->reason())))},
-                    {"rounds_run", static_cast<std::uint64_t>(stats_.rounds)}});
-      stats_.rounds += round;  // rounds completed so far stay valid
-      publish_counters(before);
-      throw CancelledError(
-          cancel_->reason(),
-          format("simulation cancelled (%s) after %d of %d rounds",
-                 to_string(cancel_->reason()), stats_.rounds,
-                 stats_.rounds + rounds - round));
-    }
     const int global_round = stats_.rounds + round + 1;
     trace::Span round_span("sim.round");
     const std::uint64_t messages_before = stats_.messages;

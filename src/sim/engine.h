@@ -36,7 +36,6 @@
 #include "lcp/decoder.h"
 #include "sim/faults.h"
 #include "sim/message.h"
-#include "util/budget.h"
 
 namespace shlcp {
 
@@ -56,15 +55,7 @@ class SyncEngine {
 
   /// Runs `rounds` >= 1 rounds of the full-information protocol,
   /// extending the current state (call once; repeated calls continue).
-  /// Polls the cancel token (if one is set) between rounds and throws
-  /// CancelledError when it trips; rounds already run stay valid.
   void run(int rounds);
-
-  /// Installs a cooperative stop flag (not owned, may be null; must
-  /// outlive the engine). A tripped token makes run() throw
-  /// CancelledError at the next round boundary -- an execution is never
-  /// silently cut short mid-round.
-  void set_cancel(const CancelToken* cancel) { cancel_ = cancel; }
 
   /// Rounds executed so far.
   [[nodiscard]] int rounds_run() const { return stats_.rounds; }
@@ -96,7 +87,6 @@ class SyncEngine {
 
   const Instance& inst_;
   ChannelModel* channel_ = nullptr;  // not owned; nullptr = ideal channels
-  const CancelToken* cancel_ = nullptr;  // not owned; nullptr = no polling
   std::vector<Knowledge> kb_;
   /// Round r >= 2: each node's knowledge at the start of the round, the
   /// one message it sends to every neighbour. Reused across rounds.

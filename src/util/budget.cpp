@@ -1,7 +1,6 @@
 #include "util/budget.h"
 
 #include <csignal>
-#include <cstdio>
 
 #include "util/check.h"
 #include "util/clock.h"
@@ -35,34 +34,8 @@ const char* to_string(StopReason reason) noexcept {
       return "deadline";
     case StopReason::kFrameBudget:
       return "frame_budget";
-    case StopReason::kInstanceBudget:
-      return "instance_budget";
-    case StopReason::kMemoryBudget:
-      return "memory_budget";
-    case StopReason::kStall:
-      return "stall";
   }
   return "unknown";
-}
-
-std::uint64_t current_rss_bytes() noexcept {
-#if defined(__linux__)
-  // /proc/self/statm: "size resident shared ..." in pages.
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) {
-    return 0;
-  }
-  unsigned long long size = 0;
-  unsigned long long resident = 0;
-  const int parsed = std::fscanf(f, "%llu %llu", &size, &resident);
-  std::fclose(f);
-  if (parsed != 2) {
-    return 0;
-  }
-  return static_cast<std::uint64_t>(resident) * 4096u;
-#else
-  return 0;
-#endif
 }
 
 SigintGuard::SigintGuard(CancelToken& token) {
@@ -79,24 +52,12 @@ SigintGuard::~SigintGuard() {
 }
 
 BudgetTracker::BudgetTracker(const RunBudget& budget, CancelToken& token)
-    : budget_(budget), token_(token) {
-  if (budget_.wall_ms > 0) {
-    deadline_ns_ = mono_ns() + budget_.wall_ms * 1'000'000u;
+    : token_(token) {
+  if (budget.wall_ms > 0) {
+    deadline_ns_ = mono_ns() + budget.wall_ms * 1'000'000u;
   }
-  if (budget_.arm_sigint) {
+  if (budget.arm_sigint) {
     sigint_.emplace(token_);
-  }
-}
-
-void BudgetTracker::add_frames(std::uint64_t frames) noexcept {
-  frames_.fetch_add(frames, std::memory_order_relaxed);
-}
-
-void BudgetTracker::add_instances(std::uint64_t count) noexcept {
-  const std::uint64_t total =
-      instances_.fetch_add(count, std::memory_order_relaxed) + count;
-  if (budget_.max_instances != 0 && total >= budget_.max_instances) {
-    token_.request_stop(StopReason::kInstanceBudget);
   }
 }
 
@@ -106,17 +67,6 @@ bool BudgetTracker::should_stop() noexcept {
   }
   if (deadline_ns_ != 0 && mono_ns() >= deadline_ns_) {
     token_.request_stop(StopReason::kDeadline);
-    return true;
-  }
-  if (budget_.max_instances != 0 &&
-      instances_.load(std::memory_order_relaxed) >= budget_.max_instances) {
-    token_.request_stop(StopReason::kInstanceBudget);
-    return true;
-  }
-  if (budget_.max_memory_bytes != 0 &&
-      polls_.fetch_add(1, std::memory_order_relaxed) % 32 == 0 &&
-      current_rss_bytes() >= budget_.max_memory_bytes) {
-    token_.request_stop(StopReason::kMemoryBudget);
     return true;
   }
   return false;

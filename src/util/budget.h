@@ -6,30 +6,29 @@
 // instead of all-or-nothing:
 //
 //  * CancelToken -- a shared stop flag with a *reason*. The first
-//    request_stop wins; everything downstream (worker pools, chunk
-//    bodies, the simulator, the audit driver) polls it cooperatively.
-//    request_stop is async-signal-safe, so a SIGINT handler may call it.
-//  * RunBudget -- declarative per-build caps: wall-clock, frames,
-//    instances, resident memory, plus opt-in SIGINT arming.
-//  * BudgetTracker -- the runtime enforcer: work loops report progress
-//    (add_frames / add_instances) and poll should_stop(); the
-//    tracker converts an exceeded cap into a request_stop with the
-//    matching reason, so every early exit carries an explicit cause.
+//    request_stop wins; the worker pool and chunk bodies poll it
+//    cooperatively. request_stop is async-signal-safe, so a SIGINT
+//    handler may call it.
+//  * RunBudget -- declarative per-build caps: a wall-clock deadline and
+//    a frame count, plus opt-in SIGINT arming.
+//  * BudgetTracker -- the runtime enforcer: work loops poll
+//    should_stop(), and the tracker converts a passed deadline into a
+//    request_stop with the matching reason, so every early exit carries
+//    an explicit cause. (The frame cap is enforced by the builder, by
+//    frame index; see RunBudget::max_frames.)
 //
 // Cancellation here is *cooperative and chunk-granular*: a budget trip
 // never tears down a thread mid-computation. Work units observe the stop
-// flag at their own safe points (between frames, between labelings,
-// between simulator rounds) and unwind; the enclosing builder then
-// preserves the completed prefix deterministically (util/parallel.h) and
-// reports the StopReason instead of a silently truncated result.
+// flag at their own safe points (between frames, between labelings) and
+// unwind; the enclosing builder then preserves the completed prefix
+// deterministically (util/parallel.h) and reports the StopReason instead
+// of a silently truncated result.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
-#include <string>
 
 namespace shlcp {
 
@@ -47,28 +46,21 @@ enum class StopReason : int {
   kDeadline,
   /// RunBudget::max_frames reached.
   kFrameBudget,
-  /// RunBudget::max_instances reached.
-  kInstanceBudget,
-  /// RunBudget::max_memory_bytes exceeded by the resident set.
-  kMemoryBudget,
-  /// The worker-pool watchdog saw no progress for the stall timeout.
-  kStall,
 };
 
 /// Stable lowercase name ("frame_budget", "interrupt", ...) used in
 /// manifests, metrics labels, and repro strings.
 const char* to_string(StopReason reason) noexcept;
 
-/// Classifies a stop: *hard* stops (time, memory, signal, explicit
-/// cancellation, stall) abort work mid-chunk at the next safe point,
-/// while *soft* stops (the work-count budgets) let already-started
-/// chunks finish so every run makes forward progress -- a resume loop
-/// under a tiny frame budget terminates instead of re-discarding the
-/// same partial chunk forever.
+/// Classifies a stop: *hard* stops (time, signal, explicit
+/// cancellation) abort work mid-chunk at the next safe point, while the
+/// one *soft* stop (the frame budget) lets already-started chunks finish
+/// so every run makes forward progress -- a resume loop under a tiny
+/// frame budget terminates instead of re-discarding the same partial
+/// chunk forever.
 constexpr bool is_hard_stop(StopReason reason) noexcept {
   return reason == StopReason::kCancelRequested ||
-         reason == StopReason::kInterrupt || reason == StopReason::kDeadline ||
-         reason == StopReason::kMemoryBudget || reason == StopReason::kStall;
+         reason == StopReason::kInterrupt || reason == StopReason::kDeadline;
 }
 
 /// Shared cooperative stop flag. Cheap to poll (one relaxed load);
@@ -108,20 +100,6 @@ class CancelToken {
   std::atomic<int> reason_{static_cast<int>(StopReason::kNone)};
 };
 
-/// Thrown by cooperative call sites (e.g. SyncEngine::run) when a
-/// cancellation interrupts work that has no way to return a partial
-/// result. Carries the StopReason so callers can report it explicitly.
-class CancelledError : public std::runtime_error {
- public:
-  CancelledError(StopReason reason, const std::string& what)
-      : std::runtime_error(what), reason_(reason) {}
-
-  [[nodiscard]] StopReason reason() const noexcept { return reason_; }
-
- private:
-  StopReason reason_;
-};
-
 /// Declarative per-build resource caps. Zero means "unlimited" for every
 /// numeric field, so a default RunBudget changes nothing.
 struct RunBudget {
@@ -132,12 +110,6 @@ struct RunBudget {
   /// its first frame lies below the cap, so overshoot is bounded by one
   /// chunk and every run under a tiny cap still makes progress.
   std::uint64_t max_frames = 0;
-  /// Cap on labeled instances visited this run (checked between chunks
-  /// and between frames, so overshoot is bounded by one chunk).
-  std::uint64_t max_instances = 0;
-  /// Cap on the process resident set (bytes); 0 or unsupported platforms
-  /// disable the check.
-  std::uint64_t max_memory_bytes = 0;
   /// Route SIGINT into the token for the tracker's lifetime, so ^C
   /// checkpoints and exits cleanly instead of killing the process.
   bool arm_sigint = false;
@@ -145,14 +117,9 @@ struct RunBudget {
   /// True iff no cap is set and SIGINT is not armed -- the tracker (and
   /// budget-aware builders) can skip all bookkeeping.
   [[nodiscard]] bool unlimited() const noexcept {
-    return wall_ms == 0 && max_frames == 0 && max_instances == 0 &&
-           max_memory_bytes == 0 && !arm_sigint;
+    return wall_ms == 0 && max_frames == 0 && !arm_sigint;
   }
 };
-
-/// Current resident-set size in bytes, or 0 when the platform offers no
-/// cheap way to read it (the memory cap then never trips).
-std::uint64_t current_rss_bytes() noexcept;
 
 /// RAII: routes SIGINT into `token` (reason kInterrupt) while alive and
 /// restores the previous handler on destruction. At most one guard may
@@ -168,44 +135,24 @@ class SigintGuard {
   void (*previous_)(int) = nullptr;
 };
 
-/// Runtime budget enforcer for one build. Work loops report progress and
-/// poll should_stop(); the tracker translates an exceeded cap into
-/// token().request_stop(reason). All methods are thread-safe.
+/// Runtime budget enforcer for one build. Work loops poll should_stop();
+/// the tracker translates a passed deadline into
+/// token().request_stop(kDeadline). All methods are thread-safe.
 class BudgetTracker {
  public:
   /// Starts the wall clock now. `token` must outlive the tracker.
   BudgetTracker(const RunBudget& budget, CancelToken& token);
 
-  /// Reports `frames` frames started (bookkeeping only; the frame cap is
-  /// enforced by the builders via frame index, see RunBudget::max_frames).
-  void add_frames(std::uint64_t frames) noexcept;
-
-  /// Reports `count` labeled instances visited (batch per frame; do not
-  /// call per instance in hot loops). Requests a kInstanceBudget stop
-  /// once the running total crosses max_instances.
-  void add_instances(std::uint64_t count) noexcept;
-
-  /// Polls every cap that is time- or state-based: the token itself, the
-  /// deadline, the instance cap, and (sampled, every 32nd call) the
-  /// memory cap. Returns true -- after requesting a stop with the
-  /// matching reason -- when the run must wind down.
+  /// Polls the token and the deadline. Returns true -- after requesting
+  /// a kDeadline stop if the deadline just passed -- when the run must
+  /// wind down.
   bool should_stop() noexcept;
 
-  [[nodiscard]] std::uint64_t frames_started() const noexcept {
-    return frames_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t instances() const noexcept {
-    return instances_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] CancelToken& token() noexcept { return token_; }
 
  private:
-  const RunBudget budget_;
   CancelToken& token_;
   std::uint64_t deadline_ns_ = 0;  // steady-clock ns since epoch; 0 = none
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> instances_{0};
-  std::atomic<std::uint64_t> polls_{0};
   std::optional<SigintGuard> sigint_;
 };
 

@@ -2,11 +2,11 @@
 //
 // Following the C++ Core Guidelines (I.6, E.12) we express preconditions
 // explicitly and fail loudly: a violated SHLCP_CHECK throws
-// shlcp::CheckError with the failing expression, file, and line. The
-// library is exact mathematics on small objects, so we keep checks on in
-// all build types -- correctness dominates speed everywhere except the
-// innermost enumeration loops, which use SHLCP_DCHECK (compiled out in
-// NDEBUG builds).
+// shlcp::CheckError with the failing expression, the file's basename,
+// and the line. The library is exact mathematics on small objects, so we
+// keep checks on in all build types -- correctness dominates speed
+// everywhere except the innermost enumeration loops, which use
+// SHLCP_DCHECK (compiled out in NDEBUG builds).
 
 #pragma once
 

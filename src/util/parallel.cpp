@@ -1,7 +1,6 @@
 #include "util/parallel.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -169,8 +168,8 @@ std::size_t WorkerPool::claim_chunk(std::size_t self) {
 }
 
 void WorkerPool::run_chunks(std::size_t self) {
-  // Claim chunks until the deques drain or the stop latch trips (a
-  // sibling chunk threw, or the job's CancelToken fired). Job state
+  // Claim chunks until the deques drain, the job's CancelToken fires, or
+  // the job is parked (stop_claims_ set at teardown). Job state
   // (body_, plan_, ...) is stable for the whole claim loop: the caller
   // does not reset it until active_claimers_ drops to zero.
   for (;;) {
@@ -190,7 +189,6 @@ void WorkerPool::run_chunks(std::size_t self) {
       // so the rethrown error is the sequential one.
       continue;
     }
-    progress_.fetch_add(1, std::memory_order_relaxed);
     const auto [begin, end] = plan_->ranges[c];
     bool completed = false;
     try {
@@ -205,7 +203,6 @@ void WorkerPool::run_chunks(std::size_t self) {
         error_bound_.store(c, std::memory_order_release);
       }
     }
-    progress_.fetch_add(1, std::memory_order_relaxed);
     if (completed) {
       std::lock_guard<std::mutex> lk(mu_);
       chunk_done_[c] = 1;
@@ -220,7 +217,7 @@ void WorkerPool::run_chunks(std::size_t self) {
 
 ParallelRunResult WorkerPool::run_plan(const ChunkPlan& plan,
                                        const ChunkBody& body,
-                                       const ParallelRunControl& ctrl) {
+                                       CancelToken* cancel) {
   ParallelRunResult result;
   result.num_chunks = plan.num_chunks();
   if (plan.num_chunks() == 0) {
@@ -243,7 +240,7 @@ ParallelRunResult WorkerPool::run_plan(const ChunkPlan& plan,
     SHLCP_CHECK_MSG(body_ == nullptr, "WorkerPool::run_plan is not reentrant");
     body_ = &body;
     plan_ = &plan;
-    job_cancel_ = ctrl.cancel;
+    job_cancel_ = cancel;
     num_chunks_ = plan.num_chunks();
     claims_.store(0, std::memory_order_relaxed);
     steals_.store(0, std::memory_order_relaxed);
@@ -270,44 +267,6 @@ ParallelRunResult WorkerPool::run_plan(const ChunkPlan& plan,
     stop_claims_.store(false, std::memory_order_release);
     ++generation_;
     ++active_claimers_;  // the caller claims too
-  }
-
-  // Optional stall watchdog: if the progress counter does not move for
-  // stall_timeout_ms, request a cooperative kStall stop so polling chunk
-  // bodies unwind instead of the run blocking forever. (A body that
-  // never reaches a safe point cannot be preempted -- the watchdog makes
-  // hangs *diagnosable and escapable* for cooperative bodies, it is not
-  // thread cancellation.)
-  std::thread watchdog;
-  std::mutex wd_mu;
-  std::condition_variable wd_cv;
-  bool job_finished = false;
-  if (ctrl.stall_timeout_ms > 0) {
-    SHLCP_CHECK_MSG(ctrl.cancel != nullptr,
-                    "stall watchdog requires a CancelToken");
-    watchdog = std::thread([&] {
-      const auto timeout = std::chrono::milliseconds(ctrl.stall_timeout_ms);
-      const auto poll = std::max<std::chrono::milliseconds>(
-          std::chrono::milliseconds(1), timeout / 8);
-      std::uint64_t last = progress_.load(std::memory_order_relaxed);
-      auto last_change = std::chrono::steady_clock::now();
-      std::unique_lock<std::mutex> lk(wd_mu);
-      for (;;) {
-        if (wd_cv.wait_for(lk, poll, [&] { return job_finished; })) {
-          return;
-        }
-        const std::uint64_t cur = progress_.load(std::memory_order_relaxed);
-        const auto now = std::chrono::steady_clock::now();
-        if (cur != last) {
-          last = cur;
-          last_change = now;
-        } else if (now - last_change >= timeout) {
-          ctrl.cancel->request_stop(StopReason::kStall);
-          stop_claims_.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    });
   }
 
   work_cv_.notify_all();
@@ -338,14 +297,6 @@ ParallelRunResult WorkerPool::run_plan(const ChunkPlan& plan,
     // mu_) sees it at the top of the claim loop and claims nothing. The
     // next job's setup reseeds the deques.
     stop_claims_.store(true, std::memory_order_relaxed);
-  }
-  if (watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(wd_mu);
-      job_finished = true;
-    }
-    wd_cv.notify_all();
-    watchdog.join();
   }
   // Scheduler diagnostics (timing-dependent; never part of the
   // deterministic build result, so publishing per run is safe).

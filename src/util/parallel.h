@@ -28,10 +28,10 @@
 // so the rethrown exception is exactly the one a sequential run of the
 // same plan would have surfaced, regardless of steal timing.
 //
-// Cancellation: run_plan takes a CancelToken plus an optional stall
-// watchdog. Workers stop claiming new chunks once the token trips; chunk
-// bodies additionally poll the token at their own safe points and may
-// abort mid-chunk (returning false). The run then reports
+// Cancellation: run_plan takes an optional CancelToken. Workers stop
+// claiming new chunks once the token trips; chunk bodies additionally
+// poll the token at their own safe points and may abort mid-chunk
+// (returning false). The run then reports
 // the *completed chunk prefix* -- the largest p such that chunks [0, p)
 // all ran to completion -- which is what lets a budgeted V(D, n) build
 // keep a deterministic, resumable amount of work (nbhd/aviews.h). Chunks
@@ -96,20 +96,6 @@ using ChunkBody =
     std::function<bool(std::size_t chunk_index, std::size_t begin,
                        std::size_t end)>;
 
-/// Cancellation plumbing for one run_plan call.
-struct ParallelRunControl {
-  /// Stop flag polled before every chunk claim; chunk bodies should poll
-  /// it too. May be null (no external cancellation).
-  CancelToken* cancel = nullptr;
-  /// When > 0, a watchdog thread watches the pool's progress counter
-  /// (chunk claims, completions, and explicit heartbeat() calls); if no
-  /// progress happens for this long, it requests a kStall stop on
-  /// `cancel` so cooperative bodies fail fast instead of the run hanging
-  /// forever. Requires `cancel` to be non-null. The watchdog cannot
-  /// preempt a body that never reaches a safe point.
-  std::uint64_t stall_timeout_ms = 0;
-};
-
 /// What a cancellable run did.
 struct ParallelRunResult {
   /// Chunks [0, completed_prefix_chunks) all ran to completion; the
@@ -148,22 +134,15 @@ class WorkerPool {
 
   /// Runs `body` once per chunk of `plan`, distributing chunks across
   /// the pool with work stealing, and blocks until the run winds down.
-  /// Stops claiming chunks when ctrl.cancel trips or a body throws, and
+  /// Stops claiming chunks when `cancel` (may be null) trips or a body
+  /// throws, and
   /// reports the completed chunk prefix. If bodies throw, queued chunks
   /// above the lowest failing index are cancelled and its exception is
   /// rethrown (see the error-handling contract above). `plan` must
   /// outlive the call. Not reentrant: must not be called from inside a
   /// chunk body.
-  ParallelRunResult run_plan(const ChunkPlan& plan,
-                             const ChunkBody& body,
-                             const ParallelRunControl& ctrl);
-
-  /// Progress heartbeat for the stall watchdog: long-running chunk
-  /// bodies call this at their safe points (e.g. once per frame) so a
-  /// legitimately slow chunk is not mistaken for a wedged one.
-  void heartbeat() noexcept {
-    progress_.fetch_add(1, std::memory_order_relaxed);
-  }
+  ParallelRunResult run_plan(const ChunkPlan& plan, const ChunkBody& body,
+                             CancelToken* cancel);
 
  private:
   /// One thread's share of the plan: plan indices [head, tail), owner
@@ -199,15 +178,15 @@ class WorkerPool {
   const ChunkPlan* plan_ = nullptr;
   CancelToken* job_cancel_ = nullptr;  // may be null
   std::size_t num_chunks_ = 0;
-  // Cancellation / teardown latch. Cleared last in a job's setup, after
-  // the deques are seeded, so a claimer that sees it clear sees the job.
+  // Job latch, written only by run_plan's caller under mu_. Cleared last
+  // in a job's setup, after the deques are seeded, so a claimer that
+  // sees it clear sees the job; set again when the job is parked.
   std::atomic<bool> stop_claims_{true};
   // Lowest chunk index that has thrown this job (kNoChunk = none).
   // Claimed chunks at or above it are skipped, chunks below it still
   // run, so the surfaced exception is deterministically the one a
   // sequential loop would have hit -- regardless of steal timing.
   std::atomic<std::size_t> error_bound_{kNoChunk};
-  std::atomic<std::uint64_t> progress_{0};  // watchdog heartbeat counter
   std::atomic<std::size_t> claims_{0};    // chunks started this job
   std::atomic<std::size_t> steals_{0};    // steal transfers this job
   std::vector<char> chunk_done_;     // guarded by mu_

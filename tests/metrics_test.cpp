@@ -78,7 +78,7 @@ TEST(CounterTest, ConcurrentAddsAreLossless) {
                   }
                   return true;
                 },
-                ParallelRunControl{});
+                nullptr);
   EXPECT_EQ(c.value(), kItems);
   c.reset();
   EXPECT_EQ(c.value(), 0u);

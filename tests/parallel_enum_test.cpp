@@ -63,7 +63,7 @@ TEST(WorkerPoolTest, CoversEveryItemExactlyOnce) {
           }
           return true;
         },
-        ParallelRunControl{});
+        nullptr);
     EXPECT_FALSE(res.stopped());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "item " << i << ", " << threads
@@ -83,7 +83,7 @@ TEST(WorkerPoolTest, ReusableAcrossJobs) {
           sum.fetch_add(static_cast<int>(e - b));
           return true;
         },
-        ParallelRunControl{});
+        nullptr);
     EXPECT_EQ(sum.load(), 20);
   }
 }
@@ -99,7 +99,7 @@ TEST(WorkerPoolTest, RethrowsLowestChunkError) {
           }
           return true;
         },
-        ParallelRunControl{});
+        nullptr);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "chunk 3");
@@ -122,7 +122,7 @@ TEST(WorkerPoolTest, FailFastCancelsQueuedChunks) {
           }
           return true;
         },
-        ParallelRunControl{});
+        nullptr);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom");
@@ -133,8 +133,6 @@ TEST(WorkerPoolTest, FailFastCancelsQueuedChunks) {
 TEST(WorkerPoolTest, CancellableCompletesWithoutStop) {
   WorkerPool pool(2);
   CancelToken token;
-  ParallelRunControl ctrl;
-  ctrl.cancel = &token;
   const ChunkPlan plan = unit_cost_plan(20, 2);
   std::atomic<int> sum{0};
   const ParallelRunResult res = pool.run_plan(
@@ -143,7 +141,7 @@ TEST(WorkerPoolTest, CancellableCompletesWithoutStop) {
         sum.fetch_add(static_cast<int>(e - b));
         return true;
       },
-      ctrl);
+      &token);
   EXPECT_FALSE(res.stopped());
   EXPECT_EQ(res.completed_prefix_chunks, res.num_chunks);
   EXPECT_EQ(res.num_chunks, plan.num_chunks());
@@ -155,8 +153,6 @@ TEST(WorkerPoolTest, CancellableReportsCompletedPrefix) {
   for (const int threads : {1, 2, 4}) {
     WorkerPool pool(threads);
     CancelToken token;
-    ParallelRunControl ctrl;
-    ctrl.cancel = &token;
     const ParallelRunResult res = pool.run_plan(
         single_item_plan(20),
         [&](std::size_t ci, std::size_t, std::size_t) {
@@ -166,7 +162,7 @@ TEST(WorkerPoolTest, CancellableReportsCompletedPrefix) {
           }
           return true;
         },
-        ctrl);
+        &token);
     EXPECT_TRUE(res.stopped()) << threads << " threads";
     EXPECT_EQ(res.num_chunks, 20u);
     EXPECT_LE(res.completed_prefix_chunks, 5u) << threads << " threads";
@@ -182,61 +178,15 @@ TEST(WorkerPoolTest, PreStoppedTokenRunsNothing) {
   WorkerPool pool(2);
   CancelToken token;
   token.request_stop(StopReason::kDeadline);
-  ParallelRunControl ctrl;
-  ctrl.cancel = &token;
   const ParallelRunResult res = pool.run_plan(
       single_item_plan(10),
       [&](std::size_t, std::size_t, std::size_t) {
         ADD_FAILURE() << "no chunk may start on a tripped token";
         return true;
       },
-      ctrl);
+      &token);
   EXPECT_TRUE(res.stopped());
   EXPECT_EQ(res.completed_prefix_chunks, 0u);
-}
-
-TEST(WorkerPoolTest, WatchdogFlagsStalledRun) {
-  WorkerPool pool(1);
-  CancelToken token;
-  ParallelRunControl ctrl;
-  ctrl.cancel = &token;
-  ctrl.stall_timeout_ms = 50;
-  const ParallelRunResult res = pool.run_plan(
-      single_item_plan(4),
-      [&](std::size_t, std::size_t, std::size_t) {
-        // A cooperative-but-stuck body: makes no progress, polls the
-        // token. The watchdog must fail it fast with kStall.
-        while (!token.stop_requested()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return false;
-      },
-      ctrl);
-  EXPECT_TRUE(res.stopped());
-  EXPECT_EQ(res.completed_prefix_chunks, 0u);
-  EXPECT_EQ(token.reason(), StopReason::kStall);
-}
-
-TEST(WorkerPoolTest, HeartbeatPreventsFalseStall) {
-  WorkerPool pool(1);
-  CancelToken token;
-  ParallelRunControl ctrl;
-  ctrl.cancel = &token;
-  ctrl.stall_timeout_ms = 60;
-  const ParallelRunResult res = pool.run_plan(
-      single_item_plan(1),
-      [&](std::size_t, std::size_t, std::size_t) {
-        // Legitimately slow chunk (~200ms > timeout) that heartbeats at
-        // its safe points: must NOT be flagged as stalled.
-        for (int i = 0; i < 20; ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-          pool.heartbeat();
-        }
-        return true;
-      },
-      ctrl);
-  EXPECT_FALSE(res.stopped());
-  EXPECT_FALSE(token.stop_requested());
 }
 
 TEST(WorkerPoolTest, EmptyPlanIsANoop) {
@@ -248,7 +198,7 @@ TEST(WorkerPoolTest, EmptyPlanIsANoop) {
         ++calls;
         return true;
       },
-      ParallelRunControl{});
+      nullptr);
   EXPECT_EQ(calls, 0);
   EXPECT_EQ(res.num_chunks, 0u);
   EXPECT_FALSE(res.stopped());
@@ -267,8 +217,6 @@ TEST(WorkerPoolTest, StoppedJobsNeverLeakIntoTheNext) {
   for (int job = 0; job < 4000; ++job) {
     const bool stop = job % 2 == 1;
     CancelToken token;
-    ParallelRunControl ctrl;
-    ctrl.cancel = &token;
     std::vector<std::atomic<int>> runs(plan.num_chunks());
     const ParallelRunResult res = pool.run_plan(
         plan,
@@ -279,7 +227,7 @@ TEST(WorkerPoolTest, StoppedJobsNeverLeakIntoTheNext) {
           }
           return true;
         },
-        ctrl);
+        &token);
     if (stop) {
       continue;
     }
@@ -348,7 +296,7 @@ TEST(WorkerPoolTest, RunPlanExecutesSkewedPlanExactlyOnce) {
           }
           return true;
         },
-        ParallelRunControl{});
+        nullptr);
     EXPECT_FALSE(res.stopped());
     EXPECT_EQ(res.chunks_claimed, plan.num_chunks());
     for (std::size_t i = 0; i < hits.size(); ++i) {
@@ -379,7 +327,7 @@ TEST(WorkerPoolTest, StealsDrainABlockedOwnersShare) {
         }
         return true;
       },
-      ParallelRunControl{});
+      nullptr);
   EXPECT_FALSE(res.stopped());
   EXPECT_EQ(res.chunks_claimed, 10u);
   EXPECT_GE(res.steals, 1u);
@@ -412,7 +360,7 @@ TEST(WorkerPoolTest, LateHighErrorStillRethrowsTheSequentialOne) {
           }
           return true;
         },
-        ParallelRunControl{});
+        nullptr);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "chunk 1");
@@ -426,8 +374,6 @@ TEST(WorkerPoolTest, RunPlanReportsCompletedPrefixOnCancel) {
   plan.adaptive = true;
   WorkerPool pool(1);
   CancelToken token;
-  ParallelRunControl ctrl;
-  ctrl.cancel = &token;
   const ParallelRunResult res = pool.run_plan(
       plan,
       [&](std::size_t ci, std::size_t, std::size_t) {
@@ -437,7 +383,7 @@ TEST(WorkerPoolTest, RunPlanReportsCompletedPrefixOnCancel) {
         }
         return true;
       },
-      ctrl);
+      &token);
   EXPECT_TRUE(res.stopped());
   // Sequential claim order on one thread: chunks 0 and 1 completed.
   EXPECT_EQ(res.completed_prefix_chunks, 2u);
@@ -637,7 +583,7 @@ TEST(ParallelEnumTest, PlainAndResumableBuildsAreByteIdentical) {
   // take() is the build's result plus a completeness check, so the graph
   // it returns must serialize to the very bytes of the result's nbhd --
   // including through the segmented pool path, which an unreachable
-  // instance budget forces even at one thread. The instance source takes
+  // frame budget forces even at one thread. The instance source takes
   // no budget; its multithreaded build must match the sequential one
   // byte for byte instead.
   const DegreeOneLcp degree_one;
@@ -667,7 +613,7 @@ TEST(ParallelEnumTest, PlainAndResumableBuildsAreByteIdentical) {
     SCOPED_TRACE(format("%d threads", threads));
     const ParallelEnumOptions plain = par_options(enums, threads);
     ParallelEnumOptions budgeted = plain;
-    budgeted.budget.max_instances = ~std::uint64_t{0};
+    budgeted.budget.max_frames = ~std::uint64_t{0};
     EXPECT_EQ(exhaustive,
               state_bytes(build(exhaustive_source, plain).take()));
     for (const ParallelEnumOptions& options : {plain, budgeted}) {

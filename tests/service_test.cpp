@@ -348,6 +348,28 @@ TEST(ServiceErrors, GridDimensionOverflowRejected) {
   }
 }
 
+// A CHECK failure inside a build reaches the client as its error
+// message. The message names the failing file by basename, never by the
+// path of the tree that was built, so two builds of one commit answer
+// the same request with the same bytes.
+TEST(ServiceErrors, CheckMessagesNameNoBuildTreePath) {
+  Service service;
+  Json params = Json::object();
+  params["lcp"] = "degree-one";
+  Json& graphs = (params["graphs"] = Json::array());
+  graphs.push_back("path:4");
+  params["build"] = "exhaustive";
+  params["max_labelings_per_frame"] = 1;
+  const Json response = service.handle(make_request(1, "build_nbhd", params));
+  EXPECT_EQ(error_code(response), kErrInvalidParams);
+  const std::string message =
+      response.at("error").at("message").as_string();
+  EXPECT_NE(message.find("SHLCP_CHECK failed"), std::string::npos) << message;
+  EXPECT_NE(message.find("max_labelings_per_frame"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find(" at /"), std::string::npos) << message;
+}
+
 // Cancel-at-boundary deadline enforcement: a build too large for its
 // deadline_ms budget is refused with deadline_exceeded at the next
 // frame boundary -- a truncated V(D, n) is never answered. One frame

@@ -117,8 +117,7 @@ CKPT_STR_KEYS = ["schema", "git", "decoder", "build", "options_hash",
 CKPT_INT_KEYS = ["k", "num_frames", "frames_done", "instances_absorbed"]
 CKPT_STATUSES = {"in_progress", "complete"}
 CKPT_STOP_REASONS = {"none", "cancel_requested", "interrupt", "deadline",
-                     "frame_budget", "instance_budget", "memory_budget",
-                     "stall"}
+                     "frame_budget"}
 DIGEST_RE = re.compile(r"^fnv:[0-9a-f]{16}$")
 
 
@@ -813,6 +812,27 @@ def _selftest_interactive():
     return doc
 
 
+def _selftest_ckpt(directory, stop_reason):
+    """Writes a checkpoint directory whose manifest is valid apart from,
+    possibly, its stop_reason."""
+    os.makedirs(directory)
+    state = b'{"views": []}'
+    with open(os.path.join(directory, "state.json"), "wb") as f:
+        f.write(state)
+    manifest = {
+        "schema": CKPT_SCHEMA, "git": "unknown", "decoder": "degree-one",
+        "build": "exhaustive", "k": 2, "options_hash": fnv1a_hex(b"options"),
+        "num_frames": 4, "frames_done": 2, "instances_absorbed": 8,
+        "status": "in_progress", "stop_reason": stop_reason,
+        "state_file": "state.json", "state_digest": fnv1a_hex(state),
+        "frames_digest": fnv1a_hex(b"frames"),
+    }
+    with open(os.path.join(directory, "manifest.json"), "w",
+              encoding="utf-8") as f:
+        json.dump(manifest, f)
+    return directory
+
+
 def self_test():
     """Asserts the documented exit-code contract by re-invoking this
     script as a subprocess on generated fixtures. Returns 0 iff every
@@ -850,6 +870,15 @@ def self_test():
         ia_leak["meta"]["completed"] = 1
         ia_leak_path = write("ia_leak.json", ia_leak)
         missing = os.path.join(tmp, "does_not_exist.json")
+        # Every stop reason the builders can record passes; any other
+        # name fails.
+        ckpt_good = [_selftest_ckpt(os.path.join(tmp, "ckpt_" + reason),
+                                    reason)
+                     for reason in sorted(CKPT_STOP_REASONS)]
+        ckpt_stale = [_selftest_ckpt(os.path.join(tmp, "ckpt_" + reason),
+                                     reason)
+                      for reason in ("stall", "instance_budget",
+                                     "memory_budget")]
 
         expectations = [
             (PASS, [good]),
@@ -868,7 +897,8 @@ def self_test():
             # dominates a merely-failing one.
             (MALFORMED, [bad, malformed]),
             (MALFORMED, [malformed, good]),
-        ]
+            (PASS, ["--ckpt"] + ckpt_good),
+        ] + [(FAIL, ["--ckpt", stale]) for stale in ckpt_stale]
         for expected, args in expectations:
             code, output = run(args)
             if code != expected:
